@@ -23,6 +23,14 @@ EPILOG = (
 )
 
 
+def _count(text: str) -> int:
+    """argparse type of depths, budgets and sizes: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _load_ctx(args):
     return serialize.load_context(args.group)
 
@@ -213,8 +221,7 @@ def cmd_complex(args):
 
 
 def cmd_homology(args):
-    with open(args.complex) as fh:
-        cx = complexes.SimplicialComplex.from_json(json.load(fh))
+    cx = serialize.load_json(args.complex, complexes.SimplicialComplex.from_json)
     res = complexes.homology(cx, args.up_to)
     data = res.to_json()
     lines = [
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     group_opt(p)
     p.add_argument("expr")
     p.add_argument("--point", required=True, help='e.g. "(0)" or "01(10)"')
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_count, default=8)
     p.set_defaults(fn=cmd_act)
 
     p = sub.add_parser("label", help="label at a dyadic cone")
@@ -303,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lsupp", help="labeled-support approximation")
     group_opt(p)
     p.add_argument("expr")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_count, required=True)
     p.set_defaults(fn=cmd_lsupp)
 
     p = sub.add_parser("decompose", help="commutator certificate")
@@ -318,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("splinter-check", help="permutation-model consistency")
     group_opt(p)
-    p.add_argument("--pairs", type=int, default=25)
-    p.add_argument("--points", type=int, default=50)
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--elements", type=int, default=50)
+    p.add_argument("--pairs", type=_count, default=25)
+    p.add_argument("--points", type=_count, default=50)
+    p.add_argument("--depth", type=_count, default=12)
+    p.add_argument("--elements", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_splinter_check)
 
@@ -332,24 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true")
     p.add_argument("-A", action="append", default=[], help="witness target tuple")
     p.add_argument("-B", action="append", default=[], help="witness source tuple")
-    p.add_argument("--budget", type=int, default=4096)
+    p.add_argument("--budget", type=_count, default=4096)
     p.set_defaults(fn=cmd_germ)
 
     p = sub.add_parser("complex", help="build a complex")
     csub = p.add_subparsers(dest="family", required=True)
     pm = csub.add_parser("matching", help="matching complex on n points")
-    pm.add_argument("-n", type=int, required=True)
+    pm.add_argument("-n", type=_count, required=True)
     pm.add_argument("-o", "--out")
     pm.set_defaults(fn=cmd_complex)
     pd = csub.add_parser("dlink", help="descending link at height n")
-    pd.add_argument("-n", type=int, required=True)
+    pd.add_argument("-n", type=_count, required=True)
     group_opt(pd)
     pd.add_argument("-o", "--out")
     pd.set_defaults(fn=cmd_complex)
 
     p = sub.add_parser("homology", help="reduced integer homology of a complex file")
     p.add_argument("complex")
-    p.add_argument("--up-to", dest="up_to", type=int, required=True)
+    p.add_argument("--up-to", dest="up_to", type=_count, required=True)
     p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("injectivize", help="quotient tower of the recursion")

@@ -289,13 +289,9 @@ def _splitting(ctx: Context, roots: int, carets: Sequence[int]) -> GroupoidEleme
 
 def _class_tuple(d: LabeledDiagram) -> tuple:
     """(labels, sigma, caret roots) read off a [1_n, (g, s), F_J] diagram."""
-    rans = sorted(range(len(d.columns)), key=lambda i: d.columns[i][2])
-    rank = [0] * len(d.columns)
-    for r, i in enumerate(rans):
-        rank[i] = r
     labels = tuple(g.value for _, g, _ in d.columns)
     carets = tuple(sorted({r for _, _, (r, w) in d.columns if w}))
-    return labels, tuple(rank), carets
+    return labels, d.sigma(), carets
 
 
 def _class_element(
@@ -344,7 +340,7 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
     if ctx.recursion.is_injective() is not True:
         raise ValueError("descending links need an injective recursion")
     order = G.order()
-    if order ** n * _factorial(n) > enumeration_cap():
+    if order ** n * math.factorial(n) > enumeration_cap():
         raise ValueError("enumeration cap exceeded")
 
     gvals = list(G.element_values())
@@ -522,10 +518,3 @@ def connectivity_report(cx: SimplicialComplex, n: int) -> dict:
         ),
         "homology": res.to_json(),
     }
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out

@@ -7,6 +7,10 @@ where ((g0, g1), s) is the image of g under the context's wreath
 recursion; merging such a sibling pair back needs the recursion to be
 injective.  Canonical storage sorts columns by domain leaf, so the leaf
 permutation is derived, never stored.
+
+Sibling domain leaves are adjacent in that order, so `reduce` and
+`expand_to` are each one left-to-right walk over the columns, made of the
+validated one-step moves `simple_reduce` and `simple_expand`.
 """
 
 from __future__ import annotations
@@ -180,12 +184,6 @@ class LabeledDiagram:
         ]
         return LabeledDiagram(self.context, new, self.m_roots, self.n_roots)
 
-    def expand_at(self, leaf: Leaf) -> "LabeledDiagram":
-        for k, c in enumerate(self.columns):
-            if c[0] == leaf:
-                return self.simple_expand(k)
-        raise ValueError(f"no column with domain leaf {leaf!r}")
-
     def simple_reduce(self, k: int) -> Optional["LabeledDiagram"]:
         """Merge columns k, k+1 when they are a compatible sibling pair.
 
@@ -215,66 +213,65 @@ class LabeledDiagram:
 
     def reduction_sites(self) -> list[int]:
         """Indices k where columns k, k+1 merge under simple_reduce."""
-        out = []
-        for k in range(len(self.columns) - 1):
-            if self.simple_reduce(k) is not None:
-                out.append(k)
-        return out
+        return [k for k in range(len(self.columns) - 1) if self.simple_reduce(k) is not None]
 
     def reduce(self) -> "LabeledDiagram":
         """The unique reduced representative of this diagram's class.
 
-        Strategy: repeatedly merge the deepest mergeable sibling pair;
-        confluence makes the order irrelevant.
+        One left-to-right walk of an index k over the lex-sorted columns,
+        trying simple_reduce(k) at each step.  Sibling domain leaves are
+        adjacent, so a merge at k leaves one new column at k whose only
+        possible partners are its neighbours: after a merge the walk steps
+        back to k-1, otherwise it advances.  Every pair left of k stays
+        unmergeable, so the walk ends on a reduced diagram.  Any other
+        order ends on the same one: two merge sites never share a column
+        (a site's left domain leaf ends in 0, its right one in 1), so merges
+        at different sites commute, and each merge removes a column.
         """
         cur = self
-        while True:
-            sites = cur.reduction_sites()
-            if not sites:
-                return cur
-            k = max(sites, key=lambda i: len(cur.columns[i][0][1]))
-            cur = cur.simple_reduce(k)
+        k = 0
+        while k + 1 < len(cur.columns):
+            merged = cur.simple_reduce(k)
+            if merged is None:
+                k += 1
+            else:
+                cur = merged
+                k = max(k - 1, 0)
+        return cur
 
     def is_reduced(self) -> bool:
         return not self.reduction_sites()
 
-    def expand_to(self, target: Sequence[Leaf]) -> "LabeledDiagram":
-        """Expand until the domain partition equals `target` exactly."""
-        want = set(target)
-        cur = self
-        while True:
-            doms = cur.domain()
-            if set(doms) == want:
-                return cur
-            for k, d in enumerate(doms):
-                if d not in want:
-                    if not any(u[0] == d[0] and u[1].startswith(d[1]) for u in want):
-                        raise ValueError("target does not refine the domain")
-                    cur = cur.simple_expand(k)
-                    break
-            else:
-                raise ValueError("target does not refine the domain")
+    def expand_to(
+        self, target: Sequence[Leaf], on_range: bool = False
+    ) -> "LabeledDiagram":
+        """Expand until the domain (or, with on_range, the range) partition
+        equals `target` exactly.
 
-    def expand_range_to(self, target: Sequence[Leaf]) -> "LabeledDiagram":
-        """Expand until the range partition equals `target` exactly.
-
-        Works because splitting a column always splits its range leaf into
-        the two children, whatever the swap does to their pairing.
+        One left-to-right walk: a column whose leaf is not in the target is
+        split in place by simple_expand and examined again, since its two
+        halves land at k and k+1.  Splitting a column always splits its
+        range leaf into the two children, whatever the swap does to their
+        pairing, so the same walk serves both sides.  A leaf that reaches
+        the target's depth without matching shows that the target does not
+        refine this partition.
         """
+        side, name = (2, "range") if on_range else (0, "domain")
         want = set(target)
+        depth = max((len(w) for _, w in want), default=0)
         cur = self
-        while True:
-            rans = cur.range_()
-            if set(rans) == want:
-                return cur
-            for k, r in enumerate(rans):
-                if r not in want:
-                    if not any(u[0] == r[0] and u[1].startswith(r[1]) for u in want):
-                        raise ValueError("target does not refine the range")
-                    cur = cur.simple_expand(k)
-                    break
+        k = 0
+        while k < len(cur.columns):
+            leaf = cur.columns[k][side]
+            if leaf in want:
+                k += 1
+            elif len(leaf[1]) < depth:
+                cur = cur.simple_expand(k)
             else:
-                raise ValueError("target does not refine the range")
+                raise ValueError(f"target does not refine the {name}")
+        if len(cur.columns) != len(want):
+            raise ValueError(f"target does not refine the {name}")
+        return cur
 
     def inverse_columns(self) -> list[Column]:
         return [(r, ~g, d) for d, g, r in self.columns]
@@ -304,7 +301,7 @@ def compose(a: LabeledDiagram, b: LabeledDiagram) -> LabeledDiagram:
             f"arity mismatch: {a.n_roots} range roots vs {b.m_roots} domain roots"
         )
     mid = forest_refinement(a.range_(), b.domain(), a.n_roots)
-    ax = a.expand_range_to(mid)
+    ax = a.expand_to(mid, on_range=True)
     bx = b.expand_to(mid)
     bcols = {d: (g, r) for d, g, r in bx.columns}
     cols = []

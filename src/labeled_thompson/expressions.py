@@ -16,12 +16,10 @@ backend tokens resolved against the context.  conj(a, b) is b^-1 * a * b.
 
 from __future__ import annotations
 
-import json
-
 from . import elements, splinter
 from .diagrams import Context
 from .elements import VPhiElement
-from .serialize import element_from_json
+from .serialize import element_from_json, load_json
 
 
 class ExpressionError(ValueError):
@@ -143,8 +141,7 @@ class _Parser:
             end = self.text.index(")", self.pos)
             path = self.text[self.pos:end].strip()
             self.pos = end + 1
-            with open(path) as fh:
-                loaded = element_from_json(self.ctx, json.load(fh))
+            loaded = load_json(path, lambda data: element_from_json(self.ctx, data))
             if not isinstance(loaded, VPhiElement):
                 raise ExpressionError("file does not hold a tree element", start)
             return loaded

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .elements import VPhiElement, commutator, element
 from .groups import GroupElement
-from .words import OMEGA0, complete_to_partition
+from .words import OMEGA0, _cone_excess, complete_to_partition
 
 
 class LabelUndefined(ValueError):
@@ -249,11 +249,7 @@ def transitivity_witness(
         families = ([v for _, v in a_data], [v for _, v in b_data])
         # image cones must be pairwise disjoint and leave room for the
         # leftover cones to pair off
-        if all(
-            _pairwise_incomparable(f)
-            and sum(2 ** -len(v) for v in f) < 1
-            for f in families
-        ):
+        if all(_pairwise_incomparable(f) and _cone_excess(f) < 0 for f in families):
             break
         k += 1
         if k > budget:

@@ -13,6 +13,7 @@ and the expansion rule of the diagram calculus.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterator, NamedTuple, Optional
 
 
@@ -281,10 +282,7 @@ class SymmetricGroup(GroupBackend):
         return isinstance(v, tuple) and sorted(v) == list(range(1, self.m + 1))
 
     def order(self):
-        out = 1
-        for k in range(2, self.m + 1):
-            out *= k
-        return out
+        return math.factorial(self.m)
 
     def element_values(self):
         return itertools.permutations(range(1, self.m + 1))

@@ -13,7 +13,7 @@ of auto-quotiented contexts mark their labels as living in the quotient.
 from __future__ import annotations
 
 import json
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 from .diagrams import Context, LabeledDiagram
 from .elements import GroupoidElement, VPhiElement
@@ -28,6 +28,8 @@ from .groups import (
 )
 from .perfection import CommutatorCertificate
 from .words import Leaf
+
+T = TypeVar("T")
 
 
 def backend_from_json(data: dict) -> GroupBackend:
@@ -73,9 +75,19 @@ def context_from_json(data: dict) -> Context:
     return Context(backend, recursion)
 
 
-def load_context(path: str) -> Context:
+def load_json(path: str, parse: Callable[[object], T]) -> T:
+    """Parse the JSON file at `path` with `parse`; a missing or ill-typed
+    field raises ValueError naming the file, as malformed JSON does."""
     with open(path) as fh:
-        return context_from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: missing or malformed field: {exc!r}") from exc
+
+
+def load_context(path: str) -> Context:
+    return load_json(path, context_from_json)
 
 
 def _leaf_str(leaf: Leaf, forest: bool) -> str:

@@ -20,11 +20,6 @@ def is_bitword(w: str) -> bool:
     return all(c in "01" for c in w)
 
 
-def is_prefix(u: str, v: str) -> bool:
-    """True when u is a (not necessarily proper) prefix of v."""
-    return v.startswith(u)
-
-
 def sibling(u: str) -> str:
     """The word differing from u in its last letter.  u must be nonempty."""
     if not u:
@@ -32,8 +27,13 @@ def sibling(u: str) -> str:
     return u[:-1] + ("1" if u[-1] == "0" else "0")
 
 
-def leaf_is_prefix(u: Leaf, v: Leaf) -> bool:
-    return u[0] == v[0] and v[1].startswith(u[1])
+def _cone_excess(words: Sequence[str]) -> int:
+    """(Total measure of the cones of `words`) - 1, times 2^(longest word
+    length): an exact integer, 0 when the cones can tile the Cantor set and
+    negative when they leave room.  Package-internal: the hot step of
+    is_partition_set, also used by germs."""
+    depth = max(map(len, words), default=0)
+    return sum(1 << (depth - len(u)) for u in words) - (1 << depth)
 
 
 def is_partition_set(words: Sequence[str]) -> bool:
@@ -45,16 +45,14 @@ def is_partition_set(words: Sequence[str]) -> bool:
     """
     if len(words) == 0:
         return False
-    if len(set(words)) != len(words):
-        return False
     ordered = sorted(words)
     for a, b in zip(ordered, ordered[1:]):
         # in lexicographic order a prefix sorts immediately before its
-        # extensions, so adjacent checks suffice
+        # extensions, so adjacent checks suffice; a repeated word is its
+        # own prefix, so this also rejects duplicates
         if b.startswith(a):
             return False
-    depth = max(len(u) for u in ordered)
-    return sum(1 << (depth - len(u)) for u in ordered) == (1 << depth)
+    return _cone_excess(ordered) == 0
 
 
 def is_forest_partition(leaves: Sequence[Leaf], roots: int) -> bool:
@@ -95,12 +93,17 @@ def complete_to_partition(words: Iterable[str]) -> list[str]:
 
 
 def common_refinement(p: Sequence[str], q: Sequence[str]) -> list[str]:
-    """Coarsest partition set refining both p and q."""
-    pool = set(p) | set(q)
-    out = [w for w in pool if not any(x != w and x.startswith(w) for x in pool)]
-    out.sort()
+    """Coarsest partition set refining both p and q.
+
+    It keeps the words of p and q that are no strict prefix of another;
+    in lex order a word's extensions sort directly after it, so only its
+    successor needs checking.
+    """
     if not (is_partition_set(list(p)) and is_partition_set(list(q))):
         raise ValueError("inputs must be partition sets")
+    pool = sorted(set(p) | set(q))
+    out = [w for w, nxt in zip(pool, pool[1:]) if not nxt.startswith(w)]
+    out.append(pool[-1])
     assert is_partition_set(out)
     return out
 

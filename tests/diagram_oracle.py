@@ -1,0 +1,82 @@
+"""Reference diagram kernel for differential tests.
+
+The rescanning route that the one-pass kernel in ``labeled_thompson.diagrams``
+replaced: ``reduce`` finds every merge site, merges the deepest one and
+scans again; ``compose`` expands to a common refinement computed by an
+all-pairs prefix scan, expanding the first leaf that is not in the target
+and rescanning after every split.  Slow (about cubic in the column count),
+but it shares no walk logic with the library, which is what makes it a
+useful reference.  Only the one-step moves ``simple_expand`` and
+``simple_reduce`` are reused.
+"""
+
+from __future__ import annotations
+
+from labeled_thompson.diagrams import ContextMismatch, LabeledDiagram
+from labeled_thompson.words import is_partition_set
+
+
+def reduction_sites(d: LabeledDiagram) -> list[int]:
+    return [k for k in range(len(d.columns) - 1) if d.simple_reduce(k) is not None]
+
+
+def reduce(d: LabeledDiagram) -> LabeledDiagram:
+    """Repeatedly merge the deepest mergeable sibling pair."""
+    cur = d
+    while True:
+        sites = reduction_sites(cur)
+        if not sites:
+            return cur
+        k = max(sites, key=lambda i: len(cur.columns[i][0][1]))
+        cur = cur.simple_reduce(k)
+
+
+def common_refinement(p, q) -> list[str]:
+    pool = set(p) | set(q)
+    out = sorted(w for w in pool if not any(x != w and x.startswith(w) for x in pool))
+    assert is_partition_set(list(p)) and is_partition_set(list(q))
+    assert is_partition_set(out)
+    return out
+
+
+def forest_refinement(p, q, roots: int):
+    out = []
+    for r in range(roots):
+        pr = [w for root, w in p if root == r]
+        qr = [w for root, w in q if root == r]
+        out.extend((r, w) for w in common_refinement(pr, qr))
+    return out
+
+
+def expand_to(d: LabeledDiagram, target, side: int) -> LabeledDiagram:
+    """Expand until the leaves on `side` (0 domain, 2 range) equal `target`."""
+    want = set(target)
+    cur = d
+    while True:
+        leaves = [c[side] for c in cur.columns]
+        if set(leaves) == want:
+            return cur
+        for k, leaf in enumerate(leaves):
+            if leaf not in want:
+                if not any(u[0] == leaf[0] and u[1].startswith(leaf[1]) for u in want):
+                    raise ValueError("target does not refine the diagram")
+                cur = cur.simple_expand(k)
+                break
+        else:
+            raise ValueError("target does not refine the diagram")
+
+
+def compose(a: LabeledDiagram, b: LabeledDiagram) -> LabeledDiagram:
+    if a.context is not b.context:
+        raise ContextMismatch("cannot compose elements of different contexts")
+    if a.n_roots != b.m_roots:
+        raise ValueError("arity mismatch")
+    mid = forest_refinement(a.range_(), b.domain(), a.n_roots)
+    ax = expand_to(a, mid, 2)
+    bx = expand_to(b, mid, 0)
+    bcols = {d: (g, r) for d, g, r in bx.columns}
+    cols = []
+    for d, g, r in ax.columns:
+        h, w = bcols[r]
+        cols.append((d, g * h, w))
+    return reduce(LabeledDiagram(a.context, cols, a.m_roots, b.n_roots))

@@ -141,3 +141,44 @@ def test_splinter_check_command(z2_file, capsys):
 def test_usage_error_exit_code(z2_file):
     assert main(["act", "-g", z2_file, "iota(g", "--point", "(0)"]) == 2
     assert main(["mul", "-g", "/nonexistent.json", "id", "id"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", "-g", "{g}", "id", "--point", "(0)", "--depth", "-3"],
+        ["lsupp", "-g", "{g}", "id", "--depth", "-1"],
+        ["germ", "-g", "{g}", "--compare", "id", "id", "--budget", "-1"],
+        ["complex", "matching", "-n", "-2"],
+        ["splinter-check", "-g", "{g}", "--points", "-5"],
+    ],
+    ids=["depth", "lsupp-depth", "budget", "n", "points"],
+)
+def test_negative_count_is_usage_error(z2_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(g=z2_file) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be non-negative" in captured.err
+
+
+def test_group_file_missing_field(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"group": {"kind": "finite"}, "recursion": {"rule": "diagonal"}}))
+    assert main(["is-id", "-g", str(path), "id"]) == 2
+    assert "KeyError('table')" in capsys.readouterr().err
+
+
+def test_complex_file_missing_field(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": [0, 1]}))
+    assert main(["homology", str(path), "--up-to", "0"]) == 2
+    assert "KeyError('maximal')" in capsys.readouterr().err
+
+
+def test_element_file_missing_field(tmp_path, z2_file, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"kind": "tree"}))
+    assert main(["reduce", "-g", z2_file, f"file({path})"]) == 2
+    assert "KeyError('columns')" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 from labeled_thompson.words import (
     EventuallyPeriodicWord,
     OMEGA0,
+    _cone_excess,
     common_refinement,
     complete_to_partition,
     is_partition_set,
@@ -20,6 +21,18 @@ def test_partition_set_basics():
     assert not is_partition_set(["0", "10"])  # incomplete
     assert not is_partition_set([])
     assert not is_partition_set(["0", "0", "1"])
+
+
+def test_cone_excess_is_exact():
+    # 60 disjoint cones of measure 1 - 2^-60, which a float sum rounds to 1;
+    # germs.transitivity_witness needs them to leave room
+    cones = ["1" * i + "0" for i in range(60)]
+    assert sum(2 ** -len(v) for v in cones) == 1
+    assert _cone_excess(cones) == -1
+    assert not is_partition_set(cones)
+    assert _cone_excess(cones + ["1" * 60]) == 0
+    assert is_partition_set(cones + ["1" * 60])
+    assert _cone_excess([""]) == 0
 
 
 def test_common_refinement_examples():
