@@ -22,7 +22,6 @@ from .groups import (
     cyclic_table,
     injectivize,
     symmetric_table,
-    tree_action,
 )
 from .words import EventuallyPeriodicWord, OMEGA0
 
@@ -48,7 +47,6 @@ __all__ = [
     "lambda_u",
     "rho",
     "symmetric_table",
-    "tree_action",
 ]
 
 __version__ = "0.1.0"

@@ -337,8 +337,6 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
     G = ctx.backend
     if not G.is_finite():
         raise ValueError("descending links need a finite label group")
-    if ctx.recursion.is_injective() is not True:
-        raise ValueError("descending links need an injective recursion")
     order = G.order()
     if order ** n * math.factorial(n) > enumeration_cap():
         raise ValueError("enumeration cap exceeded")

@@ -41,24 +41,21 @@ class ContextMismatch(ValueError):
 class Context:
     """A group backend paired with a wreath recursion.
 
-    Elements only compose within one context.  When the recursion is not
-    injective (and the group is finite) the context transparently routes
-    through the injectivization tower: labels handed to constructors are
-    quotient-mapped, so equality of elements is equality in the quotient
-    picture, which loses nothing.
+    Elements only compose within one context.  The working recursion is
+    always injective, which is what lets sibling columns merge: when the
+    given recursion is not, and the group is finite, the context routes
+    through the injectivization tower, so labels handed to constructors are
+    quotient-mapped and equality of elements is equality in the quotient
+    picture, which loses nothing.  Over an infinite group a non-injective
+    recursion raises ValueError.
     """
 
-    def __init__(
-        self,
-        backend: GroupBackend,
-        recursion: WreathRecursion,
-        auto_injectivize: bool = True,
-    ):
+    def __init__(self, backend: GroupBackend, recursion: WreathRecursion):
         if recursion.backend is not backend:
             raise ValueError("recursion must live on the given backend")
         self.source_backend = backend
         self.source_recursion = recursion
-        if recursion.is_injective() is True or not auto_injectivize:
+        if recursion.is_injective():
             self.backend = backend
             self.recursion = recursion
             self.pi_hat = None
@@ -69,9 +66,6 @@ class Context:
             self.recursion = hat_phi
             self.pi_hat = pi_hat
             self.tower_steps = steps
-
-    def is_injective(self) -> bool:
-        return self.recursion.is_injective() is True
 
     def label(self, g: GroupElement) -> GroupElement:
         """Coerce a source-group label into the working (injective) picture."""
@@ -191,8 +185,6 @@ class LabeledDiagram:
         recursion preimage of the induced slot pair; returns None when the
         pair does not merge.
         """
-        if self.context.recursion.is_injective() is not True:
-            raise ValueError("reduction requires injective recursion")
         if k + 1 >= len(self.columns):
             return None
         (r0, u0), g0, (s0, v0) = self.columns[k]

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 from . import diagrams
 from .diagrams import Context, LabeledDiagram
 from .groups import GroupElement
-from .words import EventuallyPeriodicWord, Leaf, complete_to_partition
+from .words import OMEGA0, EventuallyPeriodicWord, Leaf, complete_to_partition
 
 
 class VPhiElement:
@@ -24,10 +24,6 @@ class VPhiElement:
     def __init__(self, diagram: LabeledDiagram):
         if diagram.m_roots != 1 or diagram.n_roots != 1:
             raise ValueError("group elements are (1,1)-root diagrams")
-        if diagram.context.recursion.is_injective() is not True:
-            raise ValueError(
-                "elements need an injective recursion; route through injectivize"
-            )
         self.diagram = diagram.reduce()
 
     @property
@@ -103,65 +99,43 @@ class VPhiElement:
     def act_word(self, point: EventuallyPeriodicWord, depth: int) -> str:
         """First `depth` letters of the image of the point."""
         u, g, v = self._locate(point)
-        out = list(v[:depth])
-        tail = point.drop(len(u))
-        phi = self.context.recursion
-        state = g
-        i = 0
-        while len(out) < depth:
-            img = phi.apply(state)
-            bit = tail.letter(i)
-            out.append(img.apply_bit(bit))
-            state = img.child(bit)
-            i += 1
-        return "".join(out[:depth])
+        tail = point.drop(len(u)).head(max(depth - len(v), 0))
+        image, _ = self.context.recursion.walk(g, tail)
+        return (v + image)[:depth]
 
     def act_point(
         self, point: EventuallyPeriodicWord, state_budget: int = 4096
     ) -> Optional[EventuallyPeriodicWord]:
         """Exact image of an eventually periodic point, or None when the
-        label transducer does not close up within the state budget.
+        label transducer does not close up within `state_budget` steps
+        through the point's period.
 
-        The transducer state is (current label, phase in the point's
-        period); finite label groups always cycle, and so does the adding
-        machine because child exponents shrink.
+        After the tail's prefix, the transducer runs one period at a time;
+        the image is periodic from the first label seen twice at the start
+        of a period.  Finite label groups always close up, and so does the
+        adding machine because child exponents shrink.
         """
         u, g, v = self._locate(point)
         tail = point.drop(len(u))
-        phi = self.context.recursion
-        # burn through the aperiodic prefix of the tail
-        state = g
-        head = []
-        for c in tail.prefix:
-            img = phi.apply(state)
-            head.append(img.apply_bit(c))
-            state = img.child(c)
-        period = tail.period
-        seen: dict[tuple, int] = {}
-        emitted: list[str] = []
-        phase = 0
-        while len(seen) <= state_budget:
-            key = (state.value, phase)
-            if key in seen:
-                start = seen[key]
-                pre = v + "".join(head) + "".join(emitted[:start])
-                per = "".join(emitted[start:])
-                return EventuallyPeriodicWord(pre, per)
-            seen[key] = len(emitted)
-            img = phi.apply(state)
-            c = period[phase]
-            emitted.append(img.apply_bit(c))
-            state = img.child(c)
-            phase = (phase + 1) % len(period)
+        walk = self.context.recursion.walk
+        head, g = walk(g, tail.prefix)
+        seen: dict = {}
+        images: list[str] = []
+        while len(seen) * len(tail.period) <= state_budget:
+            if g.value in seen:
+                start = seen[g.value]
+                pre = v + head + "".join(images[:start])
+                return EventuallyPeriodicWord(pre, "".join(images[start:]))
+            seen[g.value] = len(images)
+            image, g = walk(g, tail.period)
+            images.append(image)
         return None
 
     def spine(self) -> tuple[int, GroupElement, str]:
         """(depth, label, range word) of the column containing the all-zero
         point."""
-        for (_, u), g, (_, v) in self.diagram.columns:
-            if u == "0" * len(u):
-                return len(u), g, v
-        raise AssertionError("partition sets cover the all-zero point")
+        u, g, v = self._locate(OMEGA0)
+        return len(u), g, v
 
 
 def identity(ctx: Context) -> VPhiElement:
@@ -267,10 +241,6 @@ class GroupoidElement:
     __slots__ = ("diagram",)
 
     def __init__(self, diagram: LabeledDiagram):
-        if diagram.context.recursion.is_injective() is not True:
-            raise ValueError(
-                "groupoid elements need an injective recursion"
-            )
         self.diagram = diagram.reduce()
 
     @property

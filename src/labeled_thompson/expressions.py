@@ -138,7 +138,9 @@ class _Parser:
         if name == "file":
             self.take("(")
             self._skip_ws()
-            end = self.text.index(")", self.pos)
+            end = self.text.find(")", self.pos)
+            if end < 0:
+                raise ExpressionError("expected ')'", len(self.text))
             path = self.text[self.pos:end].strip()
             self.pos = end + 1
             loaded = load_json(path, lambda data: element_from_json(self.ctx, data))

@@ -29,34 +29,16 @@ def label_at(a: VPhiElement, u: str) -> GroupElement:
     Defined when u extends a domain word of the reduced diagram; strictly
     coarser cones have no representative exhibiting them, so they error.
     """
-    _require_injective(a)
-    for (_, d), g, (_, v) in a.diagram.columns:
-        if u.startswith(d):
-            phi = a.context.recursion
-            cur = g
-            for bit in u[len(d):]:
-                img = phi.apply(cur)
-                cur = img.child(bit)
-            return cur
-        if d.startswith(u) and d != u:
-            raise LabelUndefined(f"label undefined at this interval: {u!r}")
-    raise LabelUndefined(f"label undefined at this interval: {u!r}")
+    return cone_data(a, u)[0]
 
 
 def cone_data(a: VPhiElement, u: str) -> tuple[GroupElement, str]:
     """(label, image word) of the cone of u: a maps u-cone onto the image
     cone through the tree action of the label."""
-    _require_injective(a)
     for (_, d), g, (_, v) in a.diagram.columns:
         if u.startswith(d):
-            phi = a.context.recursion
-            cur = g
-            out = v
-            for bit in u[len(d):]:
-                img = phi.apply(cur)
-                out += img.apply_bit(bit)
-                cur = img.child(bit)
-            return cur, out
+            image, label = a.context.recursion.walk(g, u[len(d):])
+            return label, v + image
     raise LabelUndefined(f"label undefined at this interval: {u!r}")
 
 
@@ -83,7 +65,6 @@ def lsupp_approx(a: VPhiElement, depth: int) -> SupportApprox:
     A depth-d cone is excluded exactly when its column reads (u, 1, u): the
     element then fixes the cone pointwise with trivial label.
     """
-    _require_injective(a)
     if depth < max(len(u) for (_, u), _, _ in a.diagram.columns):
         raise ValueError("depth too shallow: refine past the domain tree first")
     included = []
@@ -118,12 +99,11 @@ class GermAnswer:
 def _spine_states(a: VPhiElement):
     """Infinite iterator of (depth, label, range word) down the zero spine."""
     d, g, v = a.spine()
-    phi = a.context.recursion
+    walk = a.context.recursion.walk
     while True:
         yield d, g, v
-        img = phi.apply(g)
-        v = v + img.apply_bit("0")
-        g = img.left
+        bit, g = walk(g, "0")
+        v += bit
         d += 1
 
 
@@ -137,7 +117,6 @@ def germ_compare(a: VPhiElement, b: VPhiElement, budget: int = 4096) -> GermAnsw
     finite label-pair orbit closed without agreeing.  Unknown only for
     infinite label groups past the budget.
     """
-    _require_injective(a)
     if a.context is not b.context:
         raise ValueError("elements must share a context")
     if a == b:
@@ -288,8 +267,3 @@ def _pairwise_incomparable(words: Sequence[str]) -> bool:
             if u.startswith(v) or v.startswith(u):
                 return False
     return True
-
-
-def _require_injective(a: VPhiElement):
-    if a.context.recursion.is_injective() is not True:
-        raise ValueError("germ machinery needs an injective recursion")

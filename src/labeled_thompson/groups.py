@@ -6,8 +6,11 @@ groups are image tuples acting on the right, free groups are freely
 reduced words, products are tuples of the factors' values.
 
 A wreath recursion splits a label g into a pair of child labels and a
-swap flag; it drives both the induced action on the infinite binary tree
-and the expansion rule of the diagram calculus.
+swap flag; it drives the expansion rule of the diagram calculus, and its
+label transducer `WreathRecursion.walk` gives the induced action on the
+infinite binary tree, the labels at cones and the images of points.
+Whether a recursion is injective (so that sibling columns can merge back)
+is decided when it is built.
 """
 
 from __future__ import annotations
@@ -460,10 +463,6 @@ class WreathImage(NamedTuple):
         return self.left if bit == "0" else self.right
 
 
-INJECTIVE = "injective"
-NON_INJECTIVE = "non-injective"
-UNKNOWN = "unknown"
-
 _RULES = ("diagonal", "vanishing", "right", "left", "kappa", "adding", "custom")
 
 
@@ -487,23 +486,18 @@ class WreathRecursion:
         self.rule = rule
         self.table = None
         self.kappa = None
+        self._injective = True
         if rule == "adding":
             if not (isinstance(backend, CyclicGroup) and backend.n is None):
                 raise ValueError("adding machine lives on the infinite cyclic group")
-            self.injectivity = INJECTIVE
-        elif rule == "diagonal":
-            self.injectivity = INJECTIVE
-        elif rule in ("right", "left"):
-            self.injectivity = INJECTIVE
         elif rule == "vanishing":
-            self.injectivity = INJECTIVE if backend.order() == 1 else NON_INJECTIVE
+            self._injective = backend.order() == 1
         elif rule == "kappa":
             if kappa is None:
                 raise ValueError("kappa rule needs the map to S2")
             self.kappa = dict(kappa)
             self._validate_kappa()
-            self.injectivity = INJECTIVE
-        else:  # custom
+        elif rule == "custom":
             if table is None:
                 raise ValueError("custom rule needs a lookup table")
             if not backend.is_finite():
@@ -513,9 +507,7 @@ class WreathRecursion:
             }
             self._validate_custom()
             self._preimage = {img: v for v, img in self.table.items()}
-            self.injectivity = (
-                INJECTIVE if len(self._preimage) == len(self.table) else NON_INJECTIVE
-            )
+            self._injective = len(self._preimage) == len(self.table)
 
     # -- validation ---------------------------------------------------
 
@@ -583,7 +575,7 @@ class WreathRecursion:
     def preimage(self, w: WreathImage) -> Optional[GroupElement]:
         """The unique g with apply(g) == w, or None; defined only for
         recursions proven injective."""
-        if self.injectivity != INJECTIVE:
+        if not self._injective:
             raise ValueError("preimage undefined for non-injective recursion")
         B = self.backend
         if w.left.backend is not B or w.right.backend is not B:
@@ -608,13 +600,24 @@ class WreathRecursion:
         g = self._preimage.get((l, r, s))
         return B.element(g) if g is not None else None
 
-    def is_injective(self) -> Optional[bool]:
-        """Tri-state answer: True / False / None for unknown."""
-        if self.injectivity == INJECTIVE:
-            return True
-        if self.injectivity == NON_INJECTIVE:
-            return False
-        return None
+    def walk(self, g: GroupElement, word: str) -> tuple[str, GroupElement]:
+        """Run the label transducer from g along a finite binary word.
+
+        Returns (image_word, final_label): the image of the vertex `word`
+        under the tree action of g, and the label g carries at the cone of
+        `word`.  Each letter moves by the swap part of the current label's
+        image, and the walk descends to the child that the original letter
+        selects.
+        """
+        out = []
+        for bit in word:
+            img = self.apply(g)
+            out.append(img.apply_bit(bit))
+            g = img.child(bit)
+        return "".join(out), g
+
+    def is_injective(self) -> bool:
+        return self._injective
 
     def describe(self) -> dict:
         d = {"rule": self.rule}
@@ -628,21 +631,6 @@ class WreathRecursion:
 
     def __repr__(self):
         return f"WreathRecursion({self.rule!r} on {self.backend!r})"
-
-
-def tree_action(phi: WreathRecursion, g: GroupElement, word: str) -> str:
-    """Image of a vertex of the binary tree under the action induced by phi.
-
-    Follows the inductive rule: the first letter moves by the swap part,
-    the tail moves by the child label selected by the original letter.
-    """
-    out = []
-    state = g
-    for x in word:
-        img = phi.apply(state)
-        out.append(img.apply_bit(x))
-        state = img.child(x)
-    return "".join(out)
 
 
 def injectivize(
@@ -671,7 +659,7 @@ def injectivize(
     cur_phi = _push_recursion(phi, cur, {v: index[v] for v in values}, values)
 
     steps = 0
-    while cur_phi.is_injective() is not True:
+    while not cur_phi.is_injective():
         kernel = {
             v
             for v in range(cur.n)

@@ -61,6 +61,7 @@ def test_label_and_lsupp(z2_file, capsys):
     assert main(["label", "-g", z2_file, "lambda(0,g)", "--at", "00"]) == 0
     assert capsys.readouterr().out.strip() == "g"
     assert main(["label", "-g", z2_file, "lambda(00,g)", "--at", "0"]) == 1
+    assert main(["label", "-g", z2_file, "lambda(0,g)", "--at", "0x"]) == 2
     capsys.readouterr()
     assert main(["--json", "lsupp", "-g", z2_file, "lambda(0,g)", "--depth", "3"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -141,6 +142,12 @@ def test_splinter_check_command(z2_file, capsys):
 def test_usage_error_exit_code(z2_file):
     assert main(["act", "-g", z2_file, "iota(g", "--point", "(0)"]) == 2
     assert main(["mul", "-g", "/nonexistent.json", "id", "id"]) == 2
+
+
+def test_unclosed_file_atom_is_usage_error(z2_file, capsys):
+    expr = "file(x.json"
+    assert main(["reduce", "-g", z2_file, expr]) == 2
+    assert f"error: expected ')' (at position {len(expr)})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -74,12 +74,16 @@ def test_simple_reduce_examples(z2_diag, z_adding):
     assert merged3 is not None and cols_of(merged3) == [("", 1, "")]
 
 
-def test_reduce_requires_injective():
+def test_context_recursion_is_injective_or_raises():
     z2 = CyclicGroup(2)
-    raw = Context(z2, WreathRecursion(z2, "vanishing"), auto_injectivize=False)
-    d = tree_diagram(raw, ["0", "1"], [z2.one(), z2.one()], ["0", "1"])
-    with pytest.raises(ValueError, match="injective"):
-        d.reduce()
+    ctx = Context(z2, WreathRecursion(z2, "vanishing"))
+    assert ctx.recursion.is_injective() is True
+    assert ctx.tower_steps >= 1
+    d = tree_diagram(ctx, ["0", "1"], [z2.element(1), z2.one()], ["0", "1"])
+    assert cols_of(d.reduce()) == [("", 0, "")]
+    z = CyclicGroup(None)
+    with pytest.raises(ValueError, match="finite group"):
+        Context(z, WreathRecursion(z, "vanishing"))
 
 
 def test_reduce_full_collapse(z2_diag):

@@ -15,7 +15,6 @@ from labeled_thompson.groups import (
     cyclic_table,
     injectivize,
     symmetric_table,
-    tree_action,
 )
 
 
@@ -212,12 +211,12 @@ def test_tree_action_examples():
     z = CyclicGroup(None)
     rec = WreathRecursion(z, "adding")
     t = z.element(1)
-    assert tree_action(rec, t, "000") == "100"
-    assert tree_action(rec, t, "100") == "010"
+    assert rec.walk(t, "000")[0] == "100"
+    assert rec.walk(t, "100")[0] == "010"
     s3 = symmetric_table(3)
     dia = WreathRecursion(s3, "diagonal")
     for g in s3.elements():
-        assert tree_action(dia, g, "0110") == "0110"
+        assert dia.walk(g, "0110")[0] == "0110"
 
 
 def test_tree_action_is_odometer():
@@ -227,7 +226,7 @@ def test_tree_action_is_odometer():
     rng = random.Random(4)
     for _ in range(200):
         w = "".join(rng.choice("01") for _ in range(rng.randrange(1, 10)))
-        assert tree_action(rec, t, w) == lsb_increment(w)
+        assert rec.walk(t, w)[0] == lsb_increment(w)
 
 
 def test_tree_action_is_right_action():
@@ -239,8 +238,8 @@ def test_tree_action_is_right_action():
         g = s3.element(rng.randrange(6))
         h = s3.element(rng.randrange(6))
         w = "".join(rng.choice("01") for _ in range(rng.randrange(8)))
-        assert tree_action(rec, g * h, w) == tree_action(rec, h, tree_action(rec, g, w))
-        assert len(tree_action(rec, g, w)) == len(w)
+        assert rec.walk(g * h, w)[0] == rec.walk(h, rec.walk(g, w)[0])[0]
+        assert len(rec.walk(g, w)[0]) == len(w)
 
 
 # -- injectivization -----------------------------------------------------------
