@@ -10,7 +10,19 @@ permutation is derived, never stored.
 
 Sibling domain leaves are adjacent in that order, so `reduce` and
 `expand_to` are each one left-to-right walk over the columns, made of the
-validated one-step moves `simple_reduce` and `simple_expand`.
+one-step moves `simple_reduce` and `simple_expand`.
+
+Validation happens once, at the boundary.  The `LabeledDiagram`
+constructor sorts the columns and checks both forest partitions and the
+labels' group; `tree_diagram`, `from_parts`, `identity_diagram`, `compose`,
+`invert`, the element helpers and JSON all build through it.  Only the two
+one-step moves build their results with the unchecked
+`LabeledDiagram._trusted`, because they cannot break a valid diagram:
+replacing a leaf by its two children, or two sibling leaves by their
+parent, keeps both forest partitions; a leaf's children sort directly
+after it, so the columns stay in domain order; and the new labels come
+from the context's own recursion.  So the intermediate diagrams of a walk
+are not checked one by one, but every product `compose` returns is.
 """
 
 from __future__ import annotations
@@ -118,6 +130,24 @@ class LabeledDiagram:
         self.m_roots = m_roots
         self.n_roots = n_roots
 
+    @classmethod
+    def _trusted(
+        cls,
+        context: Context,
+        columns: tuple[Column, ...],
+        m_roots: int,
+        n_roots: int,
+    ) -> "LabeledDiagram":
+        """A diagram from columns already known to be valid and in domain
+        order; nothing is sorted or checked.  Only the one-step moves use
+        it (see the module docstring for why their results are valid)."""
+        d = object.__new__(cls)
+        d.context = context
+        d.columns = columns
+        d.m_roots = m_roots
+        d.n_roots = n_roots
+        return d
+
     # -- bookkeeping ---------------------------------------------------
 
     def domain(self) -> list[Leaf]:
@@ -171,12 +201,12 @@ class LabeledDiagram:
         groupoid element."""
         (root, u), g, (rroot, v) = self.columns[k]
         img = self.context.recursion.apply(g)
-        new = list(self.columns)
-        new[k : k + 1] = [
+        cols = self.columns
+        new = cols[:k] + (
             ((root, u + "0"), img.left, (rroot, v + img.apply_bit("0"))),
             ((root, u + "1"), img.right, (rroot, v + img.apply_bit("1"))),
-        ]
-        return LabeledDiagram(self.context, new, self.m_roots, self.n_roots)
+        ) + cols[k + 1 :]
+        return LabeledDiagram._trusted(self.context, new, self.m_roots, self.n_roots)
 
     def simple_reduce(self, k: int) -> Optional["LabeledDiagram"]:
         """Merge columns k, k+1 when they are a compatible sibling pair.
@@ -199,9 +229,9 @@ class LabeledDiagram:
         )
         if g is None:
             return None
-        new = list(self.columns)
-        new[k : k + 2] = [((r0, u0[:-1]), g, (s0, v0[:-1]))]
-        return LabeledDiagram(self.context, new, self.m_roots, self.n_roots)
+        cols = self.columns
+        new = cols[:k] + (((r0, u0[:-1]), g, (s0, v0[:-1])),) + cols[k + 2 :]
+        return LabeledDiagram._trusted(self.context, new, self.m_roots, self.n_roots)
 
     def reduction_sites(self) -> list[int]:
         """Indices k where columns k, k+1 merge under simple_reduce."""

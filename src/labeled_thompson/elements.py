@@ -16,6 +16,15 @@ from .groups import GroupElement
 from .words import OMEGA0, EventuallyPeriodicWord, Leaf, complete_to_partition
 
 
+def _of_reduced(cls, diagram: LabeledDiagram):
+    """An element of class cls wrapping a diagram that is already reduced,
+    as `compose` and `invert` return them, without reducing it again; the
+    public constructors reduce."""
+    x = object.__new__(cls)
+    x.diagram = diagram
+    return x
+
+
 class VPhiElement:
     """A group element, stored as its reduced canonical diagram."""
 
@@ -31,10 +40,10 @@ class VPhiElement:
         return self.diagram.context
 
     def __mul__(self, other: "VPhiElement") -> "VPhiElement":
-        return VPhiElement(diagrams.compose(self.diagram, other.diagram))
+        return _of_reduced(VPhiElement, diagrams.compose(self.diagram, other.diagram))
 
     def __invert__(self) -> "VPhiElement":
-        return VPhiElement(diagrams.invert(self.diagram))
+        return _of_reduced(VPhiElement, diagrams.invert(self.diagram))
 
     def __pow__(self, n: int) -> "VPhiElement":
         if n < 0:
@@ -256,10 +265,10 @@ class GroupoidElement:
         return self.diagram.n_roots
 
     def __mul__(self, other: "GroupoidElement") -> "GroupoidElement":
-        return GroupoidElement(diagrams.compose(self.diagram, other.diagram))
+        return _of_reduced(GroupoidElement, diagrams.compose(self.diagram, other.diagram))
 
     def __invert__(self) -> "GroupoidElement":
-        return GroupoidElement(diagrams.invert(self.diagram))
+        return _of_reduced(GroupoidElement, diagrams.invert(self.diagram))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroupoidElement) and self.diagram == other.diagram

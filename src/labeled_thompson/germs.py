@@ -64,15 +64,28 @@ def lsupp_approx(a: VPhiElement, depth: int) -> SupportApprox:
 
     A depth-d cone is excluded exactly when its column reads (u, 1, u): the
     element then fixes the cone pointwise with trivial label.
+
+    Every recursion is a homomorphism, so it splits a trivial label into two
+    trivial labels without a swap: below a cone that reads (u, 1, u) every
+    cone reads the same way, and the walk skips it whole.  Any other cone
+    is split with one transducer step per child, so the work is linear in
+    the number of cones visited rather than depth times 2^depth.
     """
     if depth < max(len(u) for (_, u), _, _ in a.diagram.columns):
         raise ValueError("depth too shallow: refine past the domain tree first")
+    walk = a.context.recursion.walk
     included = []
-    for i in range(1 << depth):
-        u = format(i, f"0{depth}b") if depth else ""
-        g, v = cone_data(a, u)
-        if not (g.is_identity() and v == u):
+    stack = [(u, g, v) for (_, u), g, (_, v) in a.diagram.columns]
+    while stack:
+        u, g, v = stack.pop()
+        if g.is_identity() and v == u:
+            continue
+        if len(u) == depth:
             included.append(u)
+            continue
+        for bit in "01":
+            image, h = walk(g, bit)
+            stack.append((u + bit, h, v + image))
     return SupportApprox(depth, frozenset(included))
 
 

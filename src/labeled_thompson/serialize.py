@@ -104,7 +104,8 @@ def _leaf_parse(text: str) -> Leaf:
 
 def element_to_json(x: Union[VPhiElement, GroupoidElement]) -> dict:
     d = x.diagram
-    forest = not (d.m_roots == 1 and d.n_roots == 1)
+    # a (1,1) groupoid element stays a forest, so it reads back as one
+    forest = isinstance(x, GroupoidElement)
     ctx = d.context
     if ctx.pi_hat is None:
         fmt = ctx.source_backend.format_element

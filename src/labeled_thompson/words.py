@@ -95,12 +95,12 @@ def complete_to_partition(words: Iterable[str]) -> list[str]:
 def common_refinement(p: Sequence[str], q: Sequence[str]) -> list[str]:
     """Coarsest partition set refining both p and q.
 
+    Precondition: p and q are partition sets.  They are not checked again:
+    the library passes leaves of diagrams its constructor has validated.
     It keeps the words of p and q that are no strict prefix of another;
     in lex order a word's extensions sort directly after it, so only its
     successor needs checking.
     """
-    if not (is_partition_set(list(p)) and is_partition_set(list(q))):
-        raise ValueError("inputs must be partition sets")
     pool = sorted(set(p) | set(q))
     out = [w for w, nxt in zip(pool, pool[1:]) if not nxt.startswith(w)]
     out.append(pool[-1])

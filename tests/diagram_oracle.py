@@ -8,11 +8,16 @@ and rescanning after every split.  Slow (about cubic in the column count),
 but it shares no walk logic with the library, which is what makes it a
 useful reference.  Only the one-step moves ``simple_expand`` and
 ``simple_reduce`` are reused.
+
+``lsupp_approx`` is the per-cone support loop that the subtree walk in
+``labeled_thompson.germs`` replaced: it reads every one of the 2^depth
+cones from its column root again, and skips nothing.
 """
 
 from __future__ import annotations
 
 from labeled_thompson.diagrams import ContextMismatch, LabeledDiagram
+from labeled_thompson.germs import SupportApprox, cone_data
 from labeled_thompson.words import is_partition_set
 
 
@@ -80,3 +85,14 @@ def compose(a: LabeledDiagram, b: LabeledDiagram) -> LabeledDiagram:
         h, w = bcols[r]
         cols.append((d, g * h, w))
     return reduce(LabeledDiagram(a.context, cols, a.m_roots, b.n_roots))
+
+
+def lsupp_approx(a, depth: int) -> SupportApprox:
+    """Cones of the given depth that do not read (u, 1, u), one by one."""
+    included = []
+    for i in range(1 << depth):
+        u = format(i, f"0{depth}b") if depth else ""
+        g, v = cone_data(a, u)
+        if not (g.is_identity() and v == u):
+            included.append(u)
+    return SupportApprox(depth, frozenset(included))

@@ -68,6 +68,13 @@ def test_label_and_lsupp(z2_file, capsys):
     assert data == {"depth": 3, "cones": ["000", "001", "010", "011"]}
 
 
+def test_lsupp_of_identity_is_immediate(z2_file, capsys):
+    # 2^30 cones at this depth: only a walk that skips trivially labeled
+    # fixed cones answers at once
+    assert main(["--json", "lsupp", "-g", z2_file, "id", "--depth", "30"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"depth": 30, "cones": []}
+
+
 def test_decompose_and_witness(z2_file, capsys):
     assert main(["decompose", "-g", z2_file, "[00|g|00; 01|0|10; 10|g|01; 11|0|11]"]) == 0
     out = capsys.readouterr().out

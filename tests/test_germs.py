@@ -1,10 +1,15 @@
 import random
 
+import diagram_oracle as oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labeled_thompson import elements as E
 from labeled_thompson import germs as G
-from labeled_thompson.sampling import random_element
+from labeled_thompson.diagrams import Context
+from labeled_thompson.groups import CyclicGroup, WreathRecursion, symmetric_table
+from labeled_thompson.sampling import random_element, random_label
 
 
 def localized(ctx, rng, cone, max_splits=2):
@@ -91,6 +96,41 @@ def test_lsupp_soundness_and_monotonicity(s3_diag, z3_right, rng):
             measure = sum(2 ** -len(u) for u in approx.included)
             finer_measure = sum(2 ** -len(u) for u in finer.included)
             assert finer_measure <= measure + 1e-12
+
+
+def _context(backend, rule, **kw):
+    return Context(backend, WreathRecursion(backend, rule, **kw))
+
+
+S3 = symmetric_table(3)
+# the sign map: transpositions swap the two halves
+SIGN = {v: S3.mul(v, v) == 0 and v != 0 for v in range(6)}
+LSUPP_CONTEXTS = (
+    _context(CyclicGroup(2), "right"),
+    _context(CyclicGroup(3), "right"),
+    _context(CyclicGroup(None), "adding"),
+    _context(S3, "kappa", kappa=SIGN),
+)
+
+
+@pytest.mark.parametrize(
+    "ctx", LSUPP_CONTEXTS, ids=("z2_right", "z3_right", "z_adding", "s3_kappa")
+)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_lsupp_matches_per_cone_oracle(ctx, rng):
+    cone = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
+    if ctx.rule == "adding":
+        label = ctx.backend.element(rng.randint(-9, 9))
+    else:
+        label = random_label(ctx, rng)
+    a = localized(ctx, rng, cone)
+    b = random_element(rng, ctx, max_splits=3)
+    for x in (a, b, a * b, E.lambda_u(ctx, cone, label)):
+        top = max(len(u) for (_, u), _, _ in x.diagram.columns)
+        if top <= 8:
+            depth = rng.randint(top, 8)
+            assert G.lsupp_approx(x, depth) == oracle.lsupp_approx(x, depth)
 
 
 def test_lsupp_depth_guard(z2_diag):

@@ -1,17 +1,29 @@
 """Differential tests: the one-pass diagram kernel against the rescanning
-reference in diagram_oracle.
+reference in diagram_oracle, and the unchecked results of the one-step
+moves against the validating `LabeledDiagram` constructor.
 
 Diagrams are random small diagrams expanded at random columns to 16-128
 leaves, with a few labels then changed so that only part of the expansion
 merges back; forest diagrams have m != n roots.
 """
 
+import json
+
 import diagram_oracle as oracle
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_walk import package_calls
 
-from labeled_thompson.diagrams import Context, LabeledDiagram, compose
+from labeled_thompson import serialize
+from labeled_thompson.diagrams import (
+    Context,
+    LabeledDiagram,
+    compose,
+    invert,
+    tree_diagram,
+)
+from labeled_thompson.elements import GroupoidElement, VPhiElement, forest_element
 from labeled_thompson.groups import CyclicGroup, WreathRecursion, symmetric_table
 from labeled_thompson.sampling import random_diagram, random_label, random_partition
 from labeled_thompson.words import common_refinement
@@ -113,3 +125,96 @@ def test_common_refinement_matches_oracle(rng):
     p = random_partition(rng, max_splits=40)
     q = random_partition(rng, max_splits=40)
     assert common_refinement(p, q) == oracle.common_refinement(p, q)
+
+
+# -- the trusted one-step moves against the validating constructor ---------
+
+
+def _assert_valid(d):
+    """d's columns pass the validating constructor, which re-sorts them, and
+    give the same diagram."""
+    checked = LabeledDiagram(d.context, d.columns, d.m_roots, d.n_roots)
+    assert checked.key() == d.key()
+
+
+def _assert_moves_valid(d, rng):
+    """Every one-step move and every walk from d yields a valid diagram."""
+    for k in range(len(d.columns)):
+        _assert_valid(d.simple_expand(k))
+        merged = d.simple_reduce(k)
+        if merged is not None:
+            _assert_valid(merged)
+    finer = _grow(d, rng, len(d.columns) + rng.randint(1, 8))
+    _assert_valid(d.expand_to(finer.domain()))
+    _assert_valid(d.expand_to(finer.range_(), on_range=True))
+    _assert_valid(d.reduce())
+    _assert_valid(invert(d))
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=CONTEXT_IDS)
+@settings(CHECKS, max_examples=6)
+@given(data=st.data())
+def test_trusted_moves_pass_validation(ctx, data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    a = data.draw(tree_diagrams(ctx, leaves=(16, 64)))
+    b = data.draw(tree_diagrams(ctx, leaves=(16, 64)))
+    _assert_moves_valid(a, rng)
+    _assert_valid(compose(a, b))
+
+
+@pytest.mark.parametrize("m, n, p", [(1, 2, 3), (2, 1, 2), (3, 2, 1)])
+@settings(CHECKS, max_examples=6)
+@given(data=st.data())
+def test_trusted_forest_moves_pass_validation(m, n, p, data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    a = data.draw(forest_diagrams(S3_DIAG, m, n))
+    b = data.draw(forest_diagrams(S3_DIAG, n, p))
+    _assert_moves_valid(a, rng)
+    _assert_valid(compose(a, b))
+
+
+def test_trusted_constructor_only_in_one_step_moves():
+    assert set(package_calls({"_trusted"})) == {
+        ("diagrams.py", "LabeledDiagram.simple_expand"),
+        ("diagrams.py", "LabeledDiagram.simple_reduce"),
+    }
+
+
+def test_public_constructors_reject_non_partitions():
+    ctx = S3_DIAG
+    one = ctx.one()
+    with pytest.raises(ValueError, match="domain leaves"):
+        tree_diagram(ctx, ["0", "0"], [one, one], ["0", "1"])
+    with pytest.raises(ValueError, match="range leaves"):
+        tree_diagram(ctx, ["0", "1"], [one, one], ["0", "10"])
+    with pytest.raises(ValueError, match="range leaves"):
+        forest_element(ctx, [((0, "0"), one, (0, "")), ((0, "1"), one, (1, "0"))], 1, 2)
+    with pytest.raises(ValueError, match="domain leaves"):
+        LabeledDiagram(ctx, [((0, ""), one, (0, "0")), ((0, "0"), one, (0, "1"))])
+
+
+def _round_trip(x):
+    text = json.dumps(serialize.element_to_json(x))
+    return serialize.element_from_json(x.context, json.loads(text))
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=CONTEXT_IDS)
+@settings(CHECKS, max_examples=6)
+@given(data=st.data())
+def test_serialize_round_trip(ctx, data):
+    a = VPhiElement(data.draw(tree_diagrams(ctx, leaves=(4, 32))))
+    b = VPhiElement(data.draw(tree_diagrams(ctx, leaves=(4, 32))))
+    for x in (a, a * b, ~a):
+        assert x.diagram.is_reduced()
+        assert _round_trip(x) == x
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 1), (3, 2)])
+@settings(CHECKS, max_examples=6)
+@given(data=st.data())
+def test_serialize_forest_round_trip(m, n, data):
+    a = GroupoidElement(data.draw(forest_diagrams(S3_DIAG, m, n)))
+    b = GroupoidElement(data.draw(forest_diagrams(S3_DIAG, n, m)))
+    for x in (a, a * b, ~a):
+        assert x.diagram.is_reduced()
+        assert _round_trip(x) == x

@@ -98,29 +98,29 @@ ALLOWED_STEPS = {
 }
 
 
-def _transducer_steps(path):
-    """(file name, qualified name) of every call of .apply_bit or .child."""
+def package_calls(names):
+    """(file name, qualified name) of every call, anywhere in the package, of
+    a function or method whose name is in `names`."""
     found = []
 
-    def visit(node, scope):
+    def visit(path, node, scope):
         for sub in ast.iter_child_nodes(node):
             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(sub, scope + (sub.name,))
+                visit(path, sub, scope + (sub.name,))
                 continue
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in ("apply_bit", "child")
-            ):
-                found.append((path.name, ".".join(scope)))
-            visit(sub, scope)
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in names:
+                    found.append((path.name, ".".join(scope)))
+            visit(path, sub, scope)
 
-    visit(ast.parse(path.read_text()), ())
+    for path in sorted(Path(germs.__file__).parent.glob("*.py")):
+        visit(path, ast.parse(path.read_text()), ())
     return found
 
 
 def test_transducer_steps_only_in_walk_and_expand():
-    package = Path(germs.__file__).parent
-    steps = [s for p in sorted(package.glob("*.py")) for s in _transducer_steps(p)]
+    steps = package_calls({"apply_bit", "child"})
     assert {s for s in steps if s not in ALLOWED_STEPS} == set()
     assert set(steps) == ALLOWED_STEPS
