@@ -5,12 +5,15 @@ complexes on n points, and the descending-link complexes of height-n
 vertices for a finite label group.  Descending links are built twice, by
 independent routes: brute-force orbit enumeration with faces computed by
 groupoid re-splitting, and the fiber-join over the matching complex
-through the forgetful map.  Homology uses dense Smith normal form over
-the integers (numpy int64 fast path with an exact object-dtype fallback).
+through the forgetful map.  Homology uses Smith normal form over the
+integers: unit pivots are eliminated sparsely and exactly, and the dense
+code (numpy int64 fast path with an exact object-dtype fallback) finishes
+the residual block that has no unit left.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -32,12 +35,23 @@ def enumeration_cap() -> int:
 
 
 class SimplicialComplex:
-    """Vertex-keyed finite complex, closed under faces."""
+    """Vertex-keyed finite complex, closed under faces.
+
+    Simplex entries must be vertex indices: ints in range(len(vertices)).
+    """
 
     def __init__(self, vertices: Sequence, simplices: Iterable[tuple[int, ...]]):
         self.vertices = list(vertices)
+        nv = len(self.vertices)
         closed: set[tuple[int, ...]] = set()
-        stack = [tuple(sorted(s)) for s in simplices]
+        raw = [tuple(s) for s in simplices]
+        entries = list(itertools.chain.from_iterable(raw))
+        if entries and (
+            set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= nv
+        ):
+            bad = next(v for v in entries if type(v) is not int or not 0 <= v < nv)
+            raise ValueError(f"simplex entry {bad!r} is not a vertex index")
+        stack = [tuple(sorted(s)) for s in raw]
         for s in stack:
             if len(set(s)) != len(s):
                 raise ValueError(f"degenerate simplex {s}")
@@ -49,28 +63,43 @@ class SimplicialComplex:
             if len(s) > 1:
                 for i in range(len(s)):
                     stack.append(s[:i] + s[i + 1:])
-        for v in range(len(self.vertices)):
+        for v in range(nv):
             closed.add((v,))
         self.simplices = closed
+        self._by_dim: list[list[tuple[int, ...]]] | None = None
+
+    def _index(self) -> list[list[tuple[int, ...]]]:
+        """Sorted k-simplices for k = 0..dimension, built on first use."""
+        if self._by_dim is None:
+            top = max(map(len, self.simplices), default=0)
+            by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(top)]
+            for s in self.simplices:
+                by_dim[len(s) - 1].append(s)
+            for faces in by_dim:
+                faces.sort()
+            self._by_dim = by_dim
+        return self._by_dim
 
     def dimension(self) -> int:
-        return max(len(s) for s in self.simplices) - 1 if self.simplices else -1
+        return len(self._index()) - 1
 
     def k_simplices(self, k: int) -> list[tuple[int, ...]]:
-        return sorted(s for s in self.simplices if len(s) == k + 1)
+        by_dim = self._index()
+        return list(by_dim[k]) if 0 <= k < len(by_dim) else []
 
     def f_vector(self) -> list[int]:
-        return [len(self.k_simplices(k)) for k in range(self.dimension() + 1)]
+        return [len(faces) for faces in self._index()]
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
-        out = []
-        for s in self.simplices:
-            sset = set(s)
-            if not any(
-                len(t) == len(s) + 1 and sset < set(t) for t in self.simplices
-            ):
-                out.append(s)
-        return sorted(out)
+        """The simplices that are no codimension-1 face of another; in a
+        complex closed under faces these are exactly the maximal ones."""
+        covered = {
+            s[:i] + s[i + 1:]
+            for s in self.simplices
+            if len(s) > 1
+            for i in range(len(s))
+        }
+        return sorted(s for s in self.simplices if s not in covered)
 
     def connected_components(self) -> int:
         """Component count by union-find; independent of the chain complex."""
@@ -116,15 +145,89 @@ class SimplicialComplex:
 def smith_diagonal(mat: np.ndarray) -> list[int]:
     """Nonzero diagonal of the Smith normal form, divisibility-chained.
 
-    Pivots on the minimal absolute value.  Runs in int64 and retries with
+    Unit pivots are eliminated sparsely and exactly (Dumas-Saunders-Villard,
+    J. Symbolic Comput. 2001): the shortest column first, within it the
+    +-1 entry whose row is shortest; each one adds a 1 to the diagonal.
+    The dense code finishes the residual block that has no unit left: it
+    pivots on the minimal absolute value, runs in int64 and retries with
     exact big integers whenever entries threaten to overflow.
     """
     if mat.size == 0:
         return []
-    try:
-        return _smith_work(mat.astype(np.int64, copy=True), guard=True)
-    except OverflowError:
-        return _smith_work(mat.astype(object, copy=True), guard=False)
+    units, residual = _eliminate_units(mat)
+    tail: list[int] = []
+    if residual.size:
+        try:
+            tail = _smith_work(residual.astype(np.int64), guard=True)
+        except OverflowError:
+            tail = _smith_work(residual, guard=False)
+    return [1] * units + tail
+
+
+def _eliminate_units(mat: np.ndarray) -> tuple[int, np.ndarray]:
+    """Eliminate unit pivots of mat by exact sparse column operations.
+
+    A pivot u = +-1 at (p, j) clears row p by subtracting multiples of
+    column j from the other columns; column j is then cleared by row
+    operations that touch nothing else, so the Smith form of mat is a 1
+    followed by that of mat without row p and column j.  Returns the
+    number of pivots and the residual block as an object array of Python
+    ints (fill-in may exceed int64).
+    """
+    cols: list[dict[int, int] | None] = [{} for _ in range(mat.shape[1])]
+    rows: dict[int, set[int]] = {}
+    nz = np.nonzero(mat)
+    for i, j, v in zip(nz[0].tolist(), nz[1].tolist(), mat[nz].tolist()):
+        cols[j][i] = int(v)
+        rows.setdefault(i, set()).add(j)
+    # shortest live column first; a column re-enters whenever it changes,
+    # and an entry whose length is stale is skipped
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        size, j = heapq.heappop(heap)
+        col = cols[j]
+        if col is None or len(col) != size:
+            continue
+        p = min(
+            (i for i, v in col.items() if v == 1 or v == -1),
+            key=lambda i: len(rows[i]),
+            default=None,
+        )
+        if p is None:
+            continue
+        u = col[p]
+        for k in rows.pop(p):
+            if k == j:
+                continue
+            other = cols[k]
+            f = other[p] * u
+            for i, v in col.items():
+                w = other.get(i, 0) - f * v
+                if w:
+                    if i not in other:
+                        rows[i].add(k)
+                    other[i] = w
+                else:
+                    del other[i]
+                    if i != p:
+                        rows[i].discard(k)
+            if other:
+                heapq.heappush(heap, (len(other), k))
+        for i in col:
+            if i != p:
+                rows[i].discard(j)
+        cols[j] = None
+        units += 1
+    live_rows = sorted(i for i, js in rows.items() if js)
+    live_cols = [j for j, col in enumerate(cols) if col]
+    where = {i: r for r, i in enumerate(live_rows)}
+    residual = np.zeros((len(live_rows), len(live_cols)), dtype=object)
+    for c, j in enumerate(live_cols):
+        for i, v in cols[j].items():
+            residual[where[i], c] = v
+    return units, residual
 
 
 def _smith_work(a: np.ndarray, guard: bool) -> list[int]:

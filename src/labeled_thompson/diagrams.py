@@ -334,9 +334,13 @@ def compose(a: LabeledDiagram, b: LabeledDiagram) -> LabeledDiagram:
 
 
 def invert(a: LabeledDiagram) -> LabeledDiagram:
-    return LabeledDiagram(
-        a.context, a.inverse_columns(), a.n_roots, a.m_roots
-    ).reduce()
+    """The inverse diagram, with domain and range exchanged.
+
+    Not reduced again: it is reduced whenever a is, as for every element
+    (the recursion is an injective homomorphism, so each merge of the
+    inverse would be a merge of a).
+    """
+    return LabeledDiagram(a.context, a.inverse_columns(), a.n_roots, a.m_roots)
 
 
 def identity_diagram(context: Context, roots: int = 1) -> LabeledDiagram:

@@ -117,6 +117,29 @@ def test_complex_and_homology(tmp_path, capsys):
     assert data == [{"dim": 0, "betti": 0, "torsion": []}]
 
 
+def test_matching_ten_round_trip(tmp_path, capsys):
+    out = tmp_path / "m10.json"
+    assert main(["complex", "matching", "-n", "10", "-o", str(out)]) == 0
+    assert "f = [45, 630, 3150, 4725, 945]" in capsys.readouterr().out
+    assert main(["--json", "homology", str(out), "--up-to", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"dim": 0, "betti": 0, "torsion": []},
+        {"dim": 1, "betti": 0, "torsion": []},
+    ]
+
+
+@pytest.mark.parametrize(
+    "vertices, simplex",
+    [(["a"], [0, 5]), (["a", "b"], [0, -1]), (["a", "b"], [0, 1.5])],
+    ids=["too-large", "negative", "float"],
+)
+def test_complex_file_bad_vertex_index(tmp_path, capsys, vertices, simplex):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": vertices, "maximal": [simplex]}))
+    assert main(["homology", str(path), "--up-to", "1"]) == 2
+    assert "is not a vertex index" in capsys.readouterr().err
+
+
 def test_complex_dlink(tmp_path, z2_file, capsys):
     out = tmp_path / "link.json"
     assert main(["complex", "dlink", "-n", "3", "-g", z2_file, "-o", str(out)]) == 0

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import complex_oracle as oracle
 import numpy as np
 import pytest
 
@@ -66,6 +67,51 @@ def test_smith_object_fallback():
     assert diag == [1, big * big - 1]
 
 
+def _sympy_diagonal(mat) -> list[int]:
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    snf = smith_normal_form(sympy.Matrix(mat.tolist()))
+    return [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i] != 0]
+
+
+def _sparse_matrix(rng, big: bool) -> np.ndarray:
+    """Mostly 0 and +-1 with some +-2/+-3, so that unit elimination often
+    stops early and leaves a residual block (and torsion); with big, a few
+    entries near 2^62 push the residual past int64."""
+    m, n = rng.randint(1, 30), rng.randint(1, 40)
+    density = rng.choice((0.05, 0.1, 0.2, 0.4))
+    values = (1, -1, 1, -1, 1, -1, 2, -2, 3, -3)
+    mat = np.zeros((m, n), dtype=np.int64)
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                mat[i, j] = rng.choice(values)
+    if big:
+        for _ in range(rng.randint(1, 3)):
+            big_value = rng.choice((1, -1)) * rng.randint(1 << 40, 1 << 62)
+            mat[rng.randrange(m), rng.randrange(n)] = big_value
+    return mat
+
+
+def test_sparse_smith_matches_sympy_and_dense(rng):
+    torsion = 0
+    for t in range(40):
+        mat = _sparse_matrix(rng, big=t % 4 == 3)
+        got = C.smith_diagonal(mat)
+        assert got == oracle.dense_smith(mat) == _sympy_diagonal(mat), mat
+        torsion += any(d > 1 for d in got)
+    assert torsion >= 5  # the residual route ran, not only unit pivots
+
+
+def test_sparse_smith_residual_past_int64():
+    # eliminating the unit at (0, 0) leaves 1 - b^2, past int64 and
+    # divisible by 3, next to a residual 3
+    b = 1 << 40
+    mat = np.array([[1, b, 0], [b, 1, 0], [0, 0, 3]], dtype=np.int64)
+    assert C.smith_diagonal(mat) == [1, 3, b * b - 1] == _sympy_diagonal(mat)
+
+
 # -- basic complexes -------------------------------------------------------------
 
 
@@ -75,6 +121,44 @@ def test_simplicial_complex_closure():
     assert cx.dimension() == 2
     assert cx.maximal_simplices() == [(0, 1, 2)]
     assert cx.f_vector() == [3, 3, 1]
+
+
+def _random_complex(rng) -> C.SimplicialComplex:
+    n = rng.randint(1, 8)
+    maximal = [
+        tuple(rng.sample(range(n), rng.randint(1, min(n, 5))))
+        for _ in range(rng.randint(0, 8))
+    ]
+    return C.SimplicialComplex(list(range(n)), maximal)
+
+
+def test_maximal_simplices_match_oracle(rng):
+    for _ in range(60):
+        cx = _random_complex(rng)
+        assert cx.maximal_simplices() == oracle.maximal_simplices(cx)
+        back = C.SimplicialComplex.from_json(cx.to_json())
+        assert back.simplices == cx.simplices
+
+
+def test_simplex_index_matches_simplex_set(rng):
+    for _ in range(30):
+        cx = _random_complex(rng)
+        top = max(len(s) for s in cx.simplices) - 1
+        assert cx.dimension() == top
+        for k in range(-1, top + 2):
+            want = sorted(s for s in cx.simplices if len(s) == k + 1)
+            assert cx.k_simplices(k) == want
+        assert cx.f_vector() == [len(cx.k_simplices(k)) for k in range(top + 1)]
+    cx.k_simplices(0).clear()  # a fresh list: the index is not exposed
+    assert len(cx.k_simplices(0)) == len(cx.vertices)
+
+
+@pytest.mark.parametrize(
+    "simplex", [(0, 5), (0, -1), (0, 1.5), (0, True), ("0", 1)], ids=repr
+)
+def test_simplex_entries_must_be_vertex_indices(simplex):
+    with pytest.raises(ValueError, match="not a vertex index"):
+        C.SimplicialComplex(["a", "b"], [simplex])
 
 
 def test_homology_cone_and_circle():
@@ -178,6 +262,17 @@ def test_matching_connectivity_window():
         assert res.is_trivial_through(bound), (n, res)
 
 
+def _assert_boundaries_match_dense(cx: C.SimplicialComplex):
+    for k in range(cx.dimension() + 2):
+        mat = cx.boundary_matrix(k)
+        assert C.smith_diagonal(mat) == oracle.dense_smith(mat), k
+
+
+def test_sparse_smith_on_matching_boundaries():
+    for n in range(4, 9):
+        _assert_boundaries_match_dense(C.matching_complex(n))
+
+
 # -- descending links -------------------------------------------------------------
 
 
@@ -186,6 +281,7 @@ def test_dlink_trivial_group_counts(trivial_diag):
         link = C.dlink_complex(trivial_diag, n)
         assert len(link.complex.vertices) == n * (n - 1)
         assert C.check_complete_join(link)
+        _assert_boundaries_match_dense(link.complex)
     link2 = C.dlink_complex(trivial_diag, 2)
     assert link2.complex.dimension() == 0
     assert len(link2.complex.vertices) == 2
@@ -195,6 +291,7 @@ def test_dlink_z2_vertex_count(z2_diag):
     link = C.dlink_complex(z2_diag, 4)
     assert len(link.complex.vertices) == 24  # |G| * n * (n-1)
     assert C.check_complete_join(link)
+    _assert_boundaries_match_dense(link.complex)
 
 
 def test_dlink_right_rule(z2_diag):
@@ -255,6 +352,7 @@ def test_dlink_join_equals_bruteforce(z3_diag):
         link = C.dlink_complex(z3_diag, n)
         join = C.dlink_via_join(link)
         assert join.simplices == link.complex.simplices
+        _assert_boundaries_match_dense(link.complex)
 
 
 def test_dlink_cap(z2_diag):

@@ -127,6 +127,32 @@ def test_common_refinement_matches_oracle(rng):
     assert common_refinement(p, q) == oracle.common_refinement(p, q)
 
 
+def _assert_inverse_reduced(x, cls):
+    """invert leaves the inverse of a reduced diagram as it is; that is
+    already reduced, and equals what the reducing public constructor
+    builds from the inverse columns."""
+    d = x.diagram
+    inv = invert(d)
+    assert inv.reduce().key() == inv.key()
+    built = LabeledDiagram(d.context, d.inverse_columns(), d.n_roots, d.m_roots)
+    assert ~x == cls(built)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=CONTEXT_IDS)
+@CHECKS
+@given(data=st.data())
+def test_inverse_of_reduced_is_reduced(ctx, data):
+    _assert_inverse_reduced(VPhiElement(data.draw(tree_diagrams(ctx))), VPhiElement)
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 1), (3, 2)])
+@CHECKS
+@given(data=st.data())
+def test_forest_inverse_of_reduced_is_reduced(m, n, data):
+    x = GroupoidElement(data.draw(forest_diagrams(S3_DIAG, m, n)))
+    _assert_inverse_reduced(x, GroupoidElement)
+
+
 # -- the trusted one-step moves against the validating constructor ---------
 
 
