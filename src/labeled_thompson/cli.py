@@ -2,7 +2,8 @@
 
 Composition is the right action throughout: in an expression "a * b" the
 element a acts first, so points satisfy (w)(a*b) = ((w)a)b.  Exit codes:
-0 success, 1 a verification answered false, 2 usage errors.
+0 success, 1 a verification answered false, 2 usage errors, 3 an internal
+consistency check failed (a bug, never a false answer).
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ def _count(text: str) -> int:
     return value
 
 
-def _load_ctx(args):
-    return serialize.load_context(args.group)
-
-
-def _expr(args, ctx, text):
-    return parse_expression(text, ctx)
-
-
 def _emit(args, data: dict, text: str) -> None:
     if args.json:
         print(json.dumps(data, indent=2))
@@ -52,41 +45,41 @@ def _emit_element(args, x) -> None:
 
 
 def cmd_mul(args):
-    ctx = _load_ctx(args)
-    out = _expr(args, ctx, args.a) * _expr(args, ctx, args.b)
+    ctx = serialize.load_context(args.group)
+    out = parse_expression(args.a, ctx) * parse_expression(args.b, ctx)
     _emit_element(args, out)
     return 0
 
 
 def cmd_inv(args):
-    ctx = _load_ctx(args)
-    _emit_element(args, ~_expr(args, ctx, args.expr))
+    ctx = serialize.load_context(args.group)
+    _emit_element(args, ~parse_expression(args.expr, ctx))
     return 0
 
 
 def cmd_reduce(args):
-    ctx = _load_ctx(args)
-    _emit_element(args, _expr(args, ctx, args.expr))
+    ctx = serialize.load_context(args.group)
+    _emit_element(args, parse_expression(args.expr, ctx))
     return 0
 
 
 def cmd_eq(args):
-    ctx = _load_ctx(args)
-    same = _expr(args, ctx, args.a) == _expr(args, ctx, args.b)
+    ctx = serialize.load_context(args.group)
+    same = parse_expression(args.a, ctx) == parse_expression(args.b, ctx)
     _emit(args, {"equal": same}, f"equal: {str(same).lower()}")
     return 0 if same else 1
 
 
 def cmd_is_id(args):
-    ctx = _load_ctx(args)
-    ans = _expr(args, ctx, args.expr).is_identity()
+    ctx = serialize.load_context(args.group)
+    ans = parse_expression(args.expr, ctx).is_identity()
     _emit(args, {"identity": ans}, f"identity: {str(ans).lower()}")
     return 0 if ans else 1
 
 
 def cmd_act(args):
-    ctx = _load_ctx(args)
-    x = _expr(args, ctx, args.expr)
+    ctx = serialize.load_context(args.group)
+    x = parse_expression(args.expr, ctx)
     point = EventuallyPeriodicWord.parse(args.point)
     word = x.act_word(point, args.depth)
     _emit(args, {"image": word}, word)
@@ -94,8 +87,8 @@ def cmd_act(args):
 
 
 def cmd_label(args):
-    ctx = _load_ctx(args)
-    x = _expr(args, ctx, args.expr)
+    ctx = serialize.load_context(args.group)
+    x = parse_expression(args.expr, ctx)
     try:
         g = germs.label_at(x, "" if args.at == "eps" else args.at)
     except germs.LabelUndefined as exc:
@@ -106,8 +99,8 @@ def cmd_label(args):
 
 
 def cmd_lsupp(args):
-    ctx = _load_ctx(args)
-    x = _expr(args, ctx, args.expr)
+    ctx = serialize.load_context(args.group)
+    x = parse_expression(args.expr, ctx)
     approx = germs.lsupp_approx(x, args.depth)
     data = approx.to_json()
     _emit(args, data, f"depth {data['depth']}: " + " ".join(data["cones"]))
@@ -115,8 +108,8 @@ def cmd_lsupp(args):
 
 
 def cmd_decompose(args):
-    ctx = _load_ctx(args)
-    x = _expr(args, ctx, args.expr)
+    ctx = serialize.load_context(args.group)
+    x = parse_expression(args.expr, ctx)
     cert = perfection.decompose(x)
     ok = cert.verify()
     data = serialize.certificate_to_json(cert)
@@ -131,8 +124,8 @@ def cmd_decompose(args):
 
 
 def cmd_witness(args):
-    ctx = _load_ctx(args)
-    x = _expr(args, ctx, args.expr)
+    ctx = serialize.load_context(args.group)
+    x = parse_expression(args.expr, ctx)
     p, q = perfection.commutator_witness(x)
     ok = p * q * ~p * ~q == x
     data = {
@@ -145,7 +138,7 @@ def cmd_witness(args):
 
 
 def cmd_splinter_check(args):
-    ctx = _load_ctx(args)
+    ctx = serialize.load_context(args.group)
     rng = random.Random(args.seed)
     gset = splinter.GSet.regular(ctx.backend)
     hom_ok = True
@@ -175,34 +168,25 @@ def cmd_splinter_check(args):
 
 
 def cmd_germ(args):
-    ctx = _load_ctx(args)
-    if args.compare:
-        a = _expr(args, ctx, args.compare[0])
-        b = _expr(args, ctx, args.compare[1])
-        ans = germs.germ_compare(a, b, args.budget)
-        _emit(args, {"answer": ans.kind, "depth": ans.depth}, repr(ans))
-        return 0
-    if args.perp:
-        a = _expr(args, ctx, args.perp[0])
-        b = _expr(args, ctx, args.perp[1])
-        ans = germs.perp(a, b, args.budget)
-        _emit(args, {"answer": ans.kind, "depth": ans.depth}, repr(ans))
-        return 0
+    ctx = serialize.load_context(args.group)
     if args.witness:
-        a_tuple = [_expr(args, ctx, t) for t in args.A]
-        b_tuple = [_expr(args, ctx, t) for t in args.B]
+        a_tuple = [parse_expression(t, ctx) for t in args.A]
+        b_tuple = [parse_expression(t, ctx) for t in args.B]
         gamma = germs.transitivity_witness(a_tuple, b_tuple, args.budget)
         _emit_element(args, gamma)
         return 0
-    print("error: pick one of --compare/--perp/--witness", file=sys.stderr)
-    return 2
+    a, b = (parse_expression(t, ctx) for t in args.compare or args.perp)
+    check = germs.germ_compare if args.compare else germs.perp
+    ans = check(a, b, args.budget)
+    _emit(args, {"answer": ans.kind, "depth": ans.depth}, repr(ans))
+    return 0
 
 
 def cmd_complex(args):
     if args.family == "matching":
         cx = complexes.matching_complex(args.n)
     else:
-        ctx = _load_ctx(args)
+        ctx = serialize.load_context(args.group)
         link = complexes.dlink_complex(ctx, args.n)
         if not complexes.check_complete_join(link):
             print("error: complete-join verification failed", file=sys.stderr)
@@ -334,9 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("germ", help="germ comparison at the all-zero point")
     group_opt(p)
-    p.add_argument("--compare", nargs=2, metavar=("A", "B"))
-    p.add_argument("--perp", nargs=2, metavar=("A", "B"))
-    p.add_argument("--witness", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    mode.add_argument("--perp", nargs=2, metavar=("A", "B"))
+    mode.add_argument("--witness", action="store_true")
     p.add_argument("-A", action="append", default=[], help="witness target tuple")
     p.add_argument("-B", action="append", default=[], help="witness source tuple")
     p.add_argument("--budget", type=_count, default=4096)
@@ -373,6 +358,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -280,10 +280,6 @@ def _smith_work(a: np.ndarray, guard: bool) -> list[int]:
     return [int(abs(d)) for d in diag]
 
 
-def integer_rank(mat: np.ndarray) -> int:
-    return len(smith_diagonal(mat))
-
-
 @dataclass(frozen=True)
 class HomologyResult:
     """Reduced Betti numbers and torsion, by dimension."""
@@ -434,8 +430,9 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
 
     A class is an orbit of [1_n, (g, s), F_J] diagrams under right
     multiplication by label-permutation elements on the range roots; the
-    canonical key is the lexicographic minimum over the orbit.  Faces
-    re-split one caret through groupoid composition.
+    canonical key is the lexicographic minimum over the orbit.  The vertex
+    of a caret is the class left when every other caret is split through
+    groupoid composition.
     """
     G = ctx.backend
     if not G.is_finite():
@@ -463,7 +460,7 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
     class_of: dict[tuple, int] = {}
     reps: list[GroupoidElement] = []
     keys: list[tuple] = []
-    jsize: list[int] = []
+    caret_sets: list[tuple[int, ...]] = []
     max_j = n // 2
     for j in range(1, max_j + 1):
         m = n - j
@@ -488,50 +485,29 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
                         raise AssertionError("right action is not free on classes")
                     reps.append(rep)
                     keys.append(min(orbit_keys))
-                    jsize.append(j)
+                    caret_sets.append(carets)
 
-    # vertex set per class, walking codimension-1 faces to the single carets
-    vertex_ids: dict[int, tuple[int, ...]] = {}
-    vertex_class_ids = [cid for cid in range(len(reps)) if jsize[cid] == 1]
-    vkey_of = {cid: keys[cid] for cid in vertex_class_ids}
+    # vertex set per class: keep one caret, split the others, and read off
+    # the single-caret class
+    vertex_class_ids = [cid for cid in range(len(reps)) if len(caret_sets[cid]) == 1]
+    vertex_keys = [keys[cid] for cid in vertex_class_ids]
     vindex = {cid: i for i, cid in enumerate(vertex_class_ids)}
+    simplex_vertices: dict[int, tuple[int, ...]] = {}
+    for cid, carets in enumerate(caret_sets):
+        if len(carets) == 1:
+            simplex_vertices[cid] = (vindex[cid],)
+            continue
+        m = n - len(carets)
+        found = set()
+        for r in carets:
+            split = reps[cid] * _splitting(ctx, m, [c for c in carets if c != r])
+            found.add(vindex[class_of[_class_tuple(split.diagram)]])
+        if len(found) != len(carets):
+            raise AssertionError("simplex has wrong number of vertices")
+        simplex_vertices[cid] = tuple(sorted(found))
 
-    def faces(cid: int) -> list[int]:
-        rep = reps[cid]
-        d = rep.diagram
-        m = d.n_roots
-        caret_roots = sorted({r for _, _, (r, w) in d.columns if w})
-        out = []
-        for r in caret_roots:
-            split = rep * _splitting(ctx, m, [r])
-            out.append(class_of[_class_tuple(split.diagram)])
-        return out
-
-    def vertices_of(cid: int) -> tuple[int, ...]:
-        if cid in vertex_ids:
-            return vertex_ids[cid]
-        if jsize[cid] == 1:
-            out = (vindex[cid],)
-        else:
-            acc: set[int] = set()
-            for f in faces(cid):
-                acc.update(vertices_of(f))
-            out = tuple(sorted(acc))
-            if len(out) != jsize[cid]:
-                raise AssertionError("simplex has wrong number of vertices")
-        vertex_ids[cid] = out
-        return out
-
-    simplices = [vertices_of(cid) for cid in range(len(reps))]
-    cx = SimplicialComplex([vkey_of[c] for c in vertex_class_ids], simplices)
-    return DescendingLink(
-        ctx,
-        n,
-        cx,
-        class_of,
-        [vkey_of[c] for c in vertex_class_ids],
-        {cid: vertices_of(cid) for cid in range(len(reps))},
-    )
+    cx = SimplicialComplex(vertex_keys, simplex_vertices.values())
+    return DescendingLink(ctx, n, cx, class_of, vertex_keys, simplex_vertices)
 
 
 def forgetful_pi(key: tuple) -> tuple[int, int]:

@@ -34,30 +34,22 @@ def random_label(ctx: Context, rng: random.Random, span: int = 3) -> GroupElemen
 
 
 def random_diagram(
-    rng: random.Random,
-    ctx: Context,
-    max_splits: int = 3,
-    min_splits: int = 0,
-    shuffle_ranges: bool = True,
+    rng: random.Random, ctx: Context, max_splits: int = 3
 ) -> LabeledDiagram:
-    dom = random_partition(rng, max_splits, min_splits)
-    ran = random_partition(rng, max_splits, min_splits)
+    dom = random_partition(rng, max_splits)
+    ran = random_partition(rng, max_splits)
     while len(ran) != len(dom):
         side = ran if len(ran) < len(dom) else dom
         w = rng.choice(side)
         side.remove(w)
         side.extend([w + "0", w + "1"])
         side.sort()
-    if shuffle_ranges:
-        rng.shuffle(ran)
+    rng.shuffle(ran)
     labels = [random_label(ctx, rng) for _ in dom]
     return tree_diagram(ctx, dom, labels, ran)
 
 
 def random_element(
-    rng: random.Random,
-    ctx: Context,
-    max_splits: int = 3,
-    min_splits: int = 0,
+    rng: random.Random, ctx: Context, max_splits: int = 3
 ) -> VPhiElement:
-    return VPhiElement(random_diagram(rng, ctx, max_splits, min_splits))
+    return VPhiElement(random_diagram(rng, ctx, max_splits))

@@ -13,7 +13,7 @@ of auto-quotiented contexts mark their labels as living in the quotient.
 from __future__ import annotations
 
 import json
-from typing import Callable, TypeVar, Union
+from typing import Callable, TypeVar
 
 from .diagrams import Context, LabeledDiagram
 from .elements import GroupoidElement, VPhiElement
@@ -102,10 +102,10 @@ def _leaf_parse(text: str) -> Leaf:
     return (0, text)
 
 
-def element_to_json(x: Union[VPhiElement, GroupoidElement]) -> dict:
+def element_to_json(x: GroupoidElement) -> dict:
     d = x.diagram
     # a (1,1) groupoid element stays a forest, so it reads back as one
-    forest = isinstance(x, GroupoidElement)
+    forest = not isinstance(x, VPhiElement)
     ctx = d.context
     if ctx.pi_hat is None:
         fmt = ctx.source_backend.format_element
@@ -130,9 +130,7 @@ def element_to_json(x: Union[VPhiElement, GroupoidElement]) -> dict:
     return out
 
 
-def element_from_json(
-    ctx: Context, data: dict
-) -> Union[VPhiElement, GroupoidElement]:
+def element_from_json(ctx: Context, data: dict) -> GroupoidElement:
     quotient = data.get("labels") == "quotient"
     if quotient:
         parse = lambda tok: ctx.backend.parse(tok)  # noqa: E731
@@ -157,15 +155,3 @@ def certificate_to_json(cert: CommutatorCertificate) -> dict:
         "tail": element_to_json(cert.tail),
         "target": element_to_json(cert.target),
     }
-
-
-def certificate_from_json(ctx: Context, data: dict) -> CommutatorCertificate:
-    factors = tuple(
-        (element_from_json(ctx, p), element_from_json(ctx, q))
-        for p, q in data["factors"]
-    )
-    return CommutatorCertificate(
-        factors,
-        element_from_json(ctx, data["tail"]),
-        element_from_json(ctx, data["target"]),
-    )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from labeled_thompson import perfection
 from labeled_thompson.cli import main
 
 
@@ -88,7 +89,24 @@ def test_germ_commands(z2_file, capsys):
     assert "Distinct" in capsys.readouterr().out
     assert main(["germ", "-g", z2_file, "--perp", "id", "[0|0|1; 1|0|0]"]) == 0
     assert "True(1)" in capsys.readouterr().out.capitalize() or True
-    assert main(["germ", "-g", z2_file]) == 2
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        [],
+        ["--compare", "id", "id", "--witness"],
+        ["--compare", "id", "id", "--perp", "id", "id"],
+    ],
+    ids=["none", "compare-witness", "compare-perp"],
+)
+def test_germ_needs_exactly_one_mode(z2_file, capsys, modes):
+    with pytest.raises(SystemExit) as exc:
+        main(["germ", "-g", z2_file, *modes])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--compare" in captured.err
 
 
 def test_germ_witness(z2_file, capsys):
@@ -198,6 +216,17 @@ def test_negative_count_is_usage_error(z2_file, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be non-negative" in captured.err
+
+
+def test_internal_error_exit_code(z2_file, capsys, monkeypatch):
+    def broken(x):
+        raise AssertionError("Euler characteristic mismatch")
+
+    monkeypatch.setattr(perfection, "decompose", broken)
+    assert main(["decompose", "-g", z2_file, "iota(g)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: Euler characteristic mismatch\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_group_file_missing_field(tmp_path, capsys):

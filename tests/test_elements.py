@@ -211,6 +211,22 @@ def test_groupoid_operations(s3_diag, rng):
     ]
     for x, y, z in chains:
         assert (x * y) * z == x * (y * z)
+    # a group element is the (1,1) case, but never equal to a groupoid element
+    d = E.lambda_u(s3_diag, "01", g).diagram
+    a, fa = E.VPhiElement(d), E.GroupoidElement(d)
+    assert a != fa and fa != a
+    assert a.diagram == fa.diagram
+    for x in (a * a, ~a, a ** 3, a ** -2):
+        assert type(x) is E.VPhiElement and repr(x).startswith("VPhiElement(")
+    for x in (fa * fa, ~fa, f * ~f, ~f):
+        assert type(x) is E.GroupoidElement and repr(x).startswith("GroupoidElement(")
+    assert E.identity(s3_diag).is_identity()
+    assert E.groupoid_identity(s3_diag, 1).is_identity()
+    swap = E.forest_element(
+        s3_diag, [((0, ""), one, (1, "")), ((1, ""), one, (0, ""))], 2, 2
+    )
+    assert not swap.is_identity()
+    assert (swap * swap).is_identity() and swap * swap == ident2
 
 
 def test_generation_rewriting(z2_diag, s3_diag, rng):
