@@ -168,6 +168,8 @@ def cmd_splinter_check(args):
 
 
 def cmd_germ(args):
+    if (args.A or args.B) and not args.witness:
+        raise ValueError("-A and -B need --witness")
     ctx = serialize.load_context(args.group)
     if args.witness:
         a_tuple = [parse_expression(t, ctx) for t in args.A]
@@ -322,8 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"))
     mode.add_argument("--perp", nargs=2, metavar=("A", "B"))
     mode.add_argument("--witness", action="store_true")
-    p.add_argument("-A", action="append", default=[], help="witness target tuple")
-    p.add_argument("-B", action="append", default=[], help="witness source tuple")
+    p.add_argument(
+        "-A", action="append", default=[], help="witness target tuple (with --witness)"
+    )
+    p.add_argument(
+        "-B", action="append", default=[], help="witness source tuple (with --witness)"
+    )
     p.add_argument("--budget", type=_count, default=4096)
     p.set_defaults(fn=cmd_germ)
 

@@ -3,9 +3,10 @@
 Covers the two complex families the library can materialize: matching
 complexes on n points, and the descending-link complexes of height-n
 vertices for a finite label group.  Descending links are built twice, by
-independent routes: brute-force orbit enumeration with faces computed by
-groupoid re-splitting, and the fiber-join over the matching complex
-through the forgetful map.  Homology uses Smith normal form over the
+independent routes: brute-force orbit enumeration (the wreath action
+applied directly to class tuples) with faces computed by groupoid
+re-splitting, and the fiber-join over the matching complex through the
+forgetful map.  Homology uses Smith normal form over the
 integers: unit pivots are eliminated sparsely and exactly, and the dense
 code (numpy int64 fast path with an exact object-dtype fallback) finishes
 the residual block that has no unit left.
@@ -386,6 +387,19 @@ def _splitting(ctx: Context, roots: int, carets: Sequence[int]) -> GroupoidEleme
     return GroupoidElement(LabeledDiagram(ctx, cols, roots, out))
 
 
+def _forest_leaves(m: int, carets: Sequence[int]) -> list:
+    """Leaves of the elementary forest F_J on m roots, in lex order."""
+    leaves: list = []
+    cset = set(carets)
+    for r in range(m):
+        if r in cset:
+            leaves.append((r, "0"))
+            leaves.append((r, "1"))
+        else:
+            leaves.append((r, ""))
+    return leaves
+
+
 def _class_tuple(d: LabeledDiagram) -> tuple:
     """(labels, sigma, caret roots) read off a [1_n, (g, s), F_J] diagram."""
     labels = tuple(g.value for _, g, _ in d.columns)
@@ -399,14 +413,7 @@ def _class_element(
     """[1_n, (labels, sigma), F_J]: domain root i pairs with the
     sigma(i)-th lex leaf of the elementary range forest."""
     m = n - len(carets)
-    leaves: list = []
-    cset = set(carets)
-    for r in range(m):
-        if r in cset:
-            leaves.append((r, "0"))
-            leaves.append((r, "1"))
-        else:
-            leaves.append((r, ""))
+    leaves = _forest_leaves(m, carets)
     cols = [
         ((i, ""), ctx.backend.element(labels[i]), leaves[sigma[i]]) for i in range(n)
     ]
@@ -429,10 +436,13 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
     """Enumerate the descending-link classes by brute force.
 
     A class is an orbit of [1_n, (g, s), F_J] diagrams under right
-    multiplication by label-permutation elements on the range roots; the
-    canonical key is the lexicographic minimum over the orbit.  The vertex
-    of a caret is the class left when every other caret is split through
-    groupoid composition.
+    multiplication by the wreath elements (h, tau): labels h on the m range
+    roots, permuted by tau.  The orbit is computed by the direct action of
+    each wreath element on the (labels, sigma, carets) tuple, without
+    building a diagram; the canonical key is the lexicographic minimum of the
+    product diagrams' keys over the orbit, read off the same data.  The
+    vertex of a caret is the class left when every other caret is split,
+    and that face step still goes through groupoid products.
     """
     G = ctx.backend
     if not G.is_finite():
@@ -442,65 +452,90 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
         raise ValueError("enumeration cap exceeded")
 
     gvals = list(G.element_values())
+    # per label value h: right multiplication g -> g * h (compose's order),
+    # and the children of h's recursion image by range-leaf word, with its swap
+    times = {h: {g: G.mul(g, h) for g in gvals} for h in gvals}
+    children = {}
+    for h in gvals:
+        img = ctx.recursion.apply(G.element(h))
+        children[h] = ({"": h, "0": img.left.value, "1": img.right.value}, img.swap)
+    flip = {"": "", "0": "1", "1": "0"}
+
+    def wreath_moves(m: int, carets: tuple[int, ...]) -> list[tuple]:
+        """The right action of every wreath element (h, tau) on F_J.
+
+        The wreath element is the (m, m) diagram with columns
+        ((r, ""), h_r, (tau(r), "")).  Composing [1_n, (g, s), F_J] with it
+        expands its domain at the carets of J only, and the product never
+        reduces, since every domain leaf of the product is a bare root.  So
+        a bare range root (r, "") multiplies its label by h_r and moves to
+        (tau(r), ""), and a caret leaf (r, b) multiplies by child b of
+        h_r's recursion image and moves to (tau(r), b), with b flipped when
+        that image swaps.  One entry per element: for each leaf of F_J in
+        lex order, the map g -> g * h of its label, its image leaf and that
+        leaf's lex rank among the image leaves; then the image caret set.
+        """
+        leaves = _forest_leaves(m, carets)
+        out = []
+        for tau in itertools.permutations(range(m)):
+            image_carets = tuple(sorted(tau[r] for r in carets))
+            for hs in itertools.product(gvals, repeat=m):
+                muls, images = [], []
+                for r, b in leaves:
+                    kids, swap = children[hs[r]]
+                    muls.append(times[kids[b]])
+                    images.append((tau[r], flip[b] if swap else b))
+                rank = {leaf: i for i, leaf in enumerate(sorted(images))}
+                out.append((muls, images, [rank[leaf] for leaf in images], image_carets))
+        return out
+
     perms = list(itertools.permutations(range(n)))
-    wreath: dict[int, list[GroupoidElement]] = {}
-
-    def wreath_elements(m: int) -> list[GroupoidElement]:
-        if m not in wreath:
-            out = []
-            for tau in itertools.permutations(range(m)):
-                for hs in itertools.product(gvals, repeat=m):
-                    cols = [
-                        ((r, ""), G.element(hs[r]), (tau[r], "")) for r in range(m)
-                    ]
-                    out.append(GroupoidElement(LabeledDiagram(ctx, cols, m, m)))
-            wreath[m] = out
-        return wreath[m]
-
+    dom = [(i, "") for i in range(n)]
     class_of: dict[tuple, int] = {}
-    reps: list[GroupoidElement] = []
+    classes: list[tuple] = []
     keys: list[tuple] = []
-    caret_sets: list[tuple[int, ...]] = []
     max_j = n // 2
     for j in range(1, max_j + 1):
         m = n - j
         for carets in itertools.combinations(range(m), j):
+            moves = wreath_moves(m, carets)
             for sigma in perms:
                 for labels in itertools.product(gvals, repeat=n):
                     raw = (labels, sigma, carets)
                     if raw in class_of:
                         continue
-                    cid = len(reps)
-                    rep = _class_element(ctx, n, labels, sigma, carets)
-                    orbit_keys = []
+                    cid = len(classes)
+                    best = None
                     orbit_size = 0
-                    for w in wreath_elements(m):
-                        img = rep * w
-                        tup = _class_tuple(img.diagram)
+                    for muls, images, ranks, image_carets in moves:
+                        img_labels = tuple([muls[s][g] for g, s in zip(labels, sigma)])
+                        tup = (img_labels, tuple([ranks[s] for s in sigma]), image_carets)
                         if tup not in class_of:
                             class_of[tup] = cid
                             orbit_size += 1
-                        orbit_keys.append(img.diagram.key())
-                    if orbit_size != len(wreath_elements(m)):
+                        cols = tuple(zip(dom, img_labels, [images[s] for s in sigma]))
+                        if best is None or cols < best:
+                            best = cols
+                    if orbit_size != len(moves):
                         raise AssertionError("right action is not free on classes")
-                    reps.append(rep)
-                    keys.append(min(orbit_keys))
-                    caret_sets.append(carets)
+                    classes.append(raw)
+                    keys.append((n, m, best))
 
     # vertex set per class: keep one caret, split the others, and read off
     # the single-caret class
-    vertex_class_ids = [cid for cid in range(len(reps)) if len(caret_sets[cid]) == 1]
+    vertex_class_ids = [cid for cid, raw in enumerate(classes) if len(raw[2]) == 1]
     vertex_keys = [keys[cid] for cid in vertex_class_ids]
     vindex = {cid: i for i, cid in enumerate(vertex_class_ids)}
     simplex_vertices: dict[int, tuple[int, ...]] = {}
-    for cid, carets in enumerate(caret_sets):
+    for cid, (labels, sigma, carets) in enumerate(classes):
         if len(carets) == 1:
             simplex_vertices[cid] = (vindex[cid],)
             continue
         m = n - len(carets)
+        rep = _class_element(ctx, n, labels, sigma, carets)
         found = set()
         for r in carets:
-            split = reps[cid] * _splitting(ctx, m, [c for c in carets if c != r])
+            split = rep * _splitting(ctx, m, [c for c in carets if c != r])
             found.add(vindex[class_of[_class_tuple(split.diagram)]])
         if len(found) != len(carets):
             raise AssertionError("simplex has wrong number of vertices")

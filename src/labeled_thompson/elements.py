@@ -32,7 +32,8 @@ class GroupoidElement:
 
     Products, inverses, equality and the word problem are shared with the
     group elements of the subclass; an element is only ever equal to one of
-    its own class."""
+    its own class.  A product keeps its operands' class when they share it
+    and is a groupoid element otherwise; an inverse keeps its operand's."""
 
     __slots__ = ("diagram",)
 
@@ -52,7 +53,8 @@ class GroupoidElement:
         return self.diagram.n_roots
 
     def __mul__(self, other: "GroupoidElement") -> "GroupoidElement":
-        return _of_reduced(type(self), diagrams.compose(self.diagram, other.diagram))
+        cls = type(self) if type(other) is type(self) else GroupoidElement
+        return _of_reduced(cls, diagrams.compose(self.diagram, other.diagram))
 
     def __invert__(self) -> "GroupoidElement":
         return _of_reduced(type(self), diagrams.invert(self.diagram))

@@ -9,13 +9,30 @@ simplices, and it shares nothing with the library's pass.
 before sparse unit elimination: the whole matrix goes through
 ``_smith_work``, in int64 while the guard allows and in exact big integers
 after that.
+
+``dlink_complex`` is the compose route that ``complexes.dlink_complex``
+replaced: every orbit element is the groupoid product of the class
+representative with a wreath element diagram, and its class tuple and key
+are read off the reduced product.  It shares the representative, class
+tuple and face step with the library but none of the direct action.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from labeled_thompson.complexes import SimplicialComplex, _smith_work
+from labeled_thompson.complexes import (
+    DescendingLink,
+    SimplicialComplex,
+    _class_element,
+    _class_tuple,
+    _smith_work,
+    _splitting,
+)
+from labeled_thompson.diagrams import Context, LabeledDiagram
+from labeled_thompson.elements import GroupoidElement
 
 
 def maximal_simplices(cx: SimplicialComplex) -> list[tuple[int, ...]]:
@@ -34,3 +51,70 @@ def dense_smith(mat: np.ndarray) -> list[int]:
         return _smith_work(mat.astype(np.int64, copy=True), guard=True)
     except OverflowError:
         return _smith_work(mat.astype(object, copy=True), guard=False)
+
+
+def dlink_complex(ctx: Context, n: int) -> DescendingLink:
+    G = ctx.backend
+    gvals = list(G.element_values())
+    perms = list(itertools.permutations(range(n)))
+    wreath: dict[int, list[GroupoidElement]] = {}
+
+    def wreath_elements(m: int) -> list[GroupoidElement]:
+        if m not in wreath:
+            out = []
+            for tau in itertools.permutations(range(m)):
+                for hs in itertools.product(gvals, repeat=m):
+                    cols = [
+                        ((r, ""), G.element(hs[r]), (tau[r], "")) for r in range(m)
+                    ]
+                    out.append(GroupoidElement(LabeledDiagram(ctx, cols, m, m)))
+            wreath[m] = out
+        return wreath[m]
+
+    class_of: dict[tuple, int] = {}
+    reps: list[GroupoidElement] = []
+    keys: list[tuple] = []
+    caret_sets: list[tuple[int, ...]] = []
+    for j in range(1, n // 2 + 1):
+        m = n - j
+        for carets in itertools.combinations(range(m), j):
+            for sigma in perms:
+                for labels in itertools.product(gvals, repeat=n):
+                    if (labels, sigma, carets) in class_of:
+                        continue
+                    cid = len(reps)
+                    rep = _class_element(ctx, n, labels, sigma, carets)
+                    orbit_keys = []
+                    orbit_size = 0
+                    for w in wreath_elements(m):
+                        img = rep * w
+                        tup = _class_tuple(img.diagram)
+                        if tup not in class_of:
+                            class_of[tup] = cid
+                            orbit_size += 1
+                        orbit_keys.append(img.diagram.key())
+                    if orbit_size != len(wreath_elements(m)):
+                        raise AssertionError("right action is not free on classes")
+                    reps.append(rep)
+                    keys.append(min(orbit_keys))
+                    caret_sets.append(carets)
+
+    vertex_class_ids = [cid for cid in range(len(reps)) if len(caret_sets[cid]) == 1]
+    vertex_keys = [keys[cid] for cid in vertex_class_ids]
+    vindex = {cid: i for i, cid in enumerate(vertex_class_ids)}
+    simplex_vertices: dict[int, tuple[int, ...]] = {}
+    for cid, carets in enumerate(caret_sets):
+        if len(carets) == 1:
+            simplex_vertices[cid] = (vindex[cid],)
+            continue
+        m = n - len(carets)
+        found = set()
+        for r in carets:
+            split = reps[cid] * _splitting(ctx, m, [c for c in carets if c != r])
+            found.add(vindex[class_of[_class_tuple(split.diagram)]])
+        if len(found) != len(carets):
+            raise AssertionError("simplex has wrong number of vertices")
+        simplex_vertices[cid] = tuple(sorted(found))
+
+    cx = SimplicialComplex(vertex_keys, simplex_vertices.values())
+    return DescendingLink(ctx, n, cx, class_of, vertex_keys, simplex_vertices)

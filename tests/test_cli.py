@@ -109,6 +109,15 @@ def test_germ_needs_exactly_one_mode(z2_file, capsys, modes):
     assert "--compare" in captured.err
 
 
+def test_germ_tuples_need_witness(z2_file, capsys):
+    for mode, tuples in ((["--compare", "id", "id"], ["-A", "not(an expr"]),
+                         (["--perp", "id", "id"], ["-B", "id"])):
+        assert main(["germ", "-g", z2_file, *mode, *tuples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: -A and -B need --witness\n"
+
+
 def test_germ_witness(z2_file, capsys):
     code = main(
         [

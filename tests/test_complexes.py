@@ -8,7 +8,12 @@ import pytest
 
 from labeled_thompson import complexes as C
 from labeled_thompson.diagrams import Context
-from labeled_thompson.groups import CyclicGroup, WreathRecursion
+from labeled_thompson.groups import (
+    CyclicGroup,
+    FiniteTableGroup,
+    WreathRecursion,
+    symmetric_table,
+)
 
 
 def rank_mod_p(mat: np.ndarray, p: int) -> int:
@@ -353,6 +358,73 @@ def test_dlink_join_equals_bruteforce(z3_diag):
         join = C.dlink_via_join(link)
         assert join.simplices == link.complex.simplices
         _assert_boundaries_match_dense(link.complex)
+
+
+def _context(backend, rule, **kw):
+    return Context(backend, WreathRecursion(backend, rule, **kw))
+
+
+S3 = symmetric_table(3)
+# the sign map: transpositions swap the two halves
+SIGN = {v: S3.mul(v, v) == 0 and v != 0 for v in range(6)}
+DLINK_CONTEXTS = {
+    "trivial": _context(FiniteTableGroup([[0]]), "diagonal"),
+    "z2_diag": _context(CyclicGroup(2), "diagonal"),
+    "z2_right": _context(CyclicGroup(2), "right"),
+    "z3_diag": _context(CyclicGroup(3), "diagonal"),
+    "s3_diag": _context(S3, "diagonal"),
+    "s3_sign": _context(S3, "kappa", kappa=SIGN),
+}
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("trivial", n) for n in (2, 3, 4, 5)]
+    + [(name, n) for name in ("z2_diag", "z2_right", "z3_diag") for n in (2, 3, 4)]
+    # non-abelian labels, with and without the swap; the oracle takes ~14 s at n=4
+    + [(name, n) for name in ("s3_diag", "s3_sign") for n in (2, 3)],
+)
+def test_dlink_matches_compose_oracle(name, n):
+    ctx = DLINK_CONTEXTS[name]
+    link = C.dlink_complex(ctx, n)
+    ref = oracle.dlink_complex(ctx, n)
+    assert link.class_of == ref.class_of
+    assert link.vertex_keys == ref.vertex_keys
+    assert link.simplex_vertices == ref.simplex_vertices
+    assert link.complex.simplices == ref.complex.simplices
+
+
+CLASS_COUNT_EXAMPLES = {
+    ("z2_diag", 5): {1: 40, 2: 240},
+    ("z3_diag", 4): {1: 36, 2: 108},
+    ("s3_sign", 4): {1: 72, 2: 432},
+}
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("trivial", n) for n in (2, 3, 4, 5)]
+    + [("z2_diag", 5), ("z2_right", 5), ("z3_diag", 4), ("s3_diag", 3), ("s3_sign", 4)],
+)
+def test_dlink_class_counts(name, n):
+    """C(m,j) n! |G|^n / (|G|^m m!) classes with j carets, m = n - j: the
+    wreath group of order |G|^m m! acts freely on the raw tuples."""
+    ctx = DLINK_CONTEXTS[name]
+    g = ctx.backend.order()
+    link = C.dlink_complex(ctx, n)
+    by_carets: dict[int, int] = {}
+    for vertices in link.simplex_vertices.values():
+        by_carets[len(vertices)] = by_carets.get(len(vertices), 0) + 1
+    want, raw = {}, 0
+    for j in range(1, n // 2 + 1):
+        m = n - j
+        tuples = math.comb(m, j) * math.factorial(n) * g ** n
+        want[j], rest = divmod(tuples, g ** m * math.factorial(m))
+        assert rest == 0
+        raw += tuples
+    assert by_carets == want
+    assert len(link.class_of) == raw
+    assert CLASS_COUNT_EXAMPLES.get((name, n), want) == want
 
 
 def test_dlink_cap(z2_diag):

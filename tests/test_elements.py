@@ -6,6 +6,7 @@ from labeled_thompson import elements as E
 from labeled_thompson.diagrams import Context, ContextMismatch
 from labeled_thompson.groups import WreathRecursion, cyclic_table
 from labeled_thompson.sampling import random_element
+from labeled_thompson.serialize import element_from_json, element_to_json
 from labeled_thompson.words import OMEGA0, EventuallyPeriodicWord
 
 
@@ -227,6 +228,20 @@ def test_groupoid_operations(s3_diag, rng):
     )
     assert not swap.is_identity()
     assert (swap * swap).is_identity() and swap * swap == ident2
+
+
+def test_mixed_product_is_a_groupoid_element(z2_diag):
+    one = z2_diag.one()
+    f = E.forest_element(
+        z2_diag, [((0, "0"), one, (0, "")), ((0, "1"), one, (1, ""))], 1, 2
+    )
+    ident = E.identity(z2_diag)
+    for x in (ident * f, ident * E.groupoid_identity(z2_diag, 1)):
+        assert type(x) is E.GroupoidElement
+        data = element_to_json(x)
+        assert data["kind"] == "forest"
+        assert element_from_json(z2_diag, data) == x
+    assert ident * f == f
 
 
 def test_generation_rewriting(z2_diag, s3_diag, rng):
