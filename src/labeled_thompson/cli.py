@@ -3,7 +3,9 @@
 Composition is the right action throughout: in an expression "a * b" the
 element a acts first, so points satisfy (w)(a*b) = ((w)a)b.  Exit codes:
 0 success, 1 a verification answered false, 2 usage errors, 3 an internal
-consistency check failed (a bug, never a false answer).
+consistency check failed (a bug, never a false answer).  `lsupp` counts
+the cones of a support before it builds them and refuses, with exit 2,
+supports of more than LSUPP_MAX_CONES = 2^16 cones.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from . import complexes, elements, germs, perfection, serialize, splinter
 from .expressions import parse_expression
 from .sampling import random_element
 from .words import EventuallyPeriodicWord
+
+LSUPP_MAX_CONES = 1 << 16
 
 EPILOG = (
     "Expressions compose left to right as right actions: (w)(a*b) = ((w)a)b. "
@@ -101,6 +105,11 @@ def cmd_label(args):
 def cmd_lsupp(args):
     ctx = serialize.load_context(args.group)
     x = parse_expression(args.expr, ctx)
+    if germs.lsupp_count(x, args.depth, LSUPP_MAX_CONES) > LSUPP_MAX_CONES:
+        raise ValueError(
+            f"the support has more than {LSUPP_MAX_CONES} cones at depth "
+            f"{args.depth}; lower --depth"
+        )
     approx = germs.lsupp_approx(x, args.depth)
     data = approx.to_json()
     _emit(args, data, f"depth {data['depth']}: " + " ".join(data["cones"]))

@@ -59,34 +59,106 @@ class SupportApprox:
         return {"depth": self.depth, "cones": sorted(self.included)}
 
 
+def _support_blocks(a: VPhiElement, depth: int):
+    """Yield disjoint blocks (cone, r) whose 2^r depth-`depth` cones make up
+    the labeled support approximation.
+
+    A column (u, g, v) with v != u is a block: the image of u·s is v·s' with
+    |s'| = |s|, so lengths or prefixes differ below u.  A fixed column with
+    trivial label holds no included cone: a recursion is a homomorphism, so
+    it splits 1 into (1, 1) without a swap.  A fixed cone with nontrivial
+    label is a block when no trivial label lies within r fixed steps below
+    it (`_span`); otherwise it is split by one transducer step into moved
+    children, which are blocks, and fixed children, which are skipped when
+    trivially labeled and handled the same way when not.  Steps and spans
+    are tabulated per call and per label; no cone string is kept.
+    """
+    if depth < max(len(u) for (_, u), _, _ in a.diagram.columns):
+        raise ValueError("depth too shallow: refine past the domain tree first")
+    walk = a.context.recursion.walk
+    steps = {}  # label -> (walk(g, "0"), walk(g, "1"))
+    spans = {}  # label -> largest r at which a fixed cone with it is whole
+
+    def step(g):
+        if g not in steps:
+            steps[g] = (walk(g, "0"), walk(g, "1"))
+        return steps[g]
+
+    fixed = []
+    for (_, u), g, (_, v) in a.diagram.columns:
+        if v != u:
+            yield u, depth - len(u)
+        elif not g.is_identity():
+            fixed.append((u, g))
+    while fixed:
+        u, g = fixed.pop()
+        r = depth - len(u)
+        if g not in spans:
+            spans[g] = _span(step, g, depth)
+        if r <= spans[g]:
+            yield u, r
+            continue
+        for bit, (image, h) in zip("01", step(g)):
+            if image != bit:
+                yield u + bit, r - 1
+            elif not h.is_identity():
+                fixed.append((u + bit, h))
+
+
+def _span(step, g, depth: int) -> int:
+    """Largest r <= depth such that every depth-r cone under a fixed cone
+    labeled g (nontrivial) is included: one less than the number of fixed
+    steps from g to the nearest fixed child with trivial label."""
+    level, seen = [g], {g}
+    for r in range(depth):
+        below = []
+        for h in level:
+            for bit, (image, k) in zip("01", step(h)):
+                if image == bit and k not in seen:
+                    if k.is_identity():
+                        return r
+                    seen.add(k)
+                    below.append(k)
+        if not below:
+            break
+        level = below
+    return depth
+
+
 def lsupp_approx(a: VPhiElement, depth: int) -> SupportApprox:
     """Sound over-approximation of the labeled support at a given depth.
 
     A depth-d cone is excluded exactly when its column reads (u, 1, u): the
     element then fixes the cone pointwise with trivial label.
 
-    Every recursion is a homomorphism, so it splits a trivial label into two
-    trivial labels without a swap: below a cone that reads (u, 1, u) every
-    cone reads the same way, and the walk skips it whole.  Any other cone
-    is split with one transducer step per child, so the work is linear in
-    the number of cones visited rather than depth times 2^depth.
+    Moved cones are emitted whole, with no transducer step: below a column
+    (u, g, v) with v != u no cone reads (w, 1, w).  Transducer steps happen
+    only under fixed cones, and only while a trivial label may still turn
+    up below them; a fixed cone whose label stays nontrivial down to depth
+    d is emitted whole too (`_support_blocks`).  Blocks are nonempty, so
+    there are no more of them than cones returned.
     """
-    if depth < max(len(u) for (_, u), _, _ in a.diagram.columns):
-        raise ValueError("depth too shallow: refine past the domain tree first")
-    walk = a.context.recursion.walk
     included = []
-    stack = [(u, g, v) for (_, u), g, (_, v) in a.diagram.columns]
-    while stack:
-        u, g, v = stack.pop()
-        if g.is_identity() and v == u:
-            continue
-        if len(u) == depth:
-            included.append(u)
-            continue
-        for bit in "01":
-            image, h = walk(g, bit)
-            stack.append((u + bit, h, v + image))
+    for cone, r in _support_blocks(a, depth):
+        block = [cone]
+        for _ in range(r):
+            block = [w + "0" for w in block] + [w + "1" for w in block]
+        included += block
     return SupportApprox(depth, frozenset(included))
+
+
+def lsupp_count(a: VPhiElement, depth: int, limit: Optional[int] = None) -> int:
+    """len(lsupp_approx(a, depth).included), without building any cone.
+
+    With a limit, counting stops as soon as the count exceeds it, and some
+    number above the limit is returned.
+    """
+    count = 0
+    for _, r in _support_blocks(a, depth):
+        count += 1 << r
+        if limit is not None and count > limit:
+            break
+    return count
 
 
 def disjoint_supports_commute(a: VPhiElement, b: VPhiElement, depth: int) -> bool:

@@ -9,7 +9,7 @@ but it shares no walk logic with the library, which is what makes it a
 useful reference.  Only the one-step moves ``simple_expand`` and
 ``simple_reduce`` are reused.
 
-``lsupp_approx`` is the per-cone support loop that the subtree walk in
+``lsupp_approx`` is the per-cone support loop that the block walk in
 ``labeled_thompson.germs`` replaced: it reads every one of the 2^depth
 cones from its column root again, and skips nothing.
 """

@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
 from labeled_thompson import perfection
-from labeled_thompson.cli import main
+from labeled_thompson.cli import LSUPP_MAX_CONES, main
 
 
 @pytest.fixture()
@@ -74,6 +75,45 @@ def test_lsupp_of_identity_is_immediate(z2_file, capsys):
     # fixed cones answers at once
     assert main(["--json", "lsupp", "-g", z2_file, "id", "--depth", "30"]) == 0
     assert json.loads(capsys.readouterr().out) == {"depth": 30, "cones": []}
+
+
+def test_lsupp_refuses_past_the_cone_limit(z2_file, capsys):
+    # 2^19 cones at depth 20: counted, not built, and refused before any output
+    start = time.perf_counter()
+    assert main(["lsupp", "-g", z2_file, "lambda(0,g)", "--depth", "20"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and str(LSUPP_MAX_CONES) in err
+    # 2^16 cones exactly is still written
+    assert main(["--json", "lsupp", "-g", z2_file, "lambda(0,g)", "--depth", "17"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["cones"]) == LSUPP_MAX_CONES
+
+
+def test_lsupp_limit_bounds_fragmented_supports(tmp_path, capsys):
+    # Klein four-group with a -> (b, b), b -> (a, 1): under lambda(0,a) no
+    # block holds more than two cones, so the 2^30 cones at depth 60 come in
+    # 2^29 blocks; counting stops at the limit
+    path = tmp_path / "v4.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {
+                    "kind": "finite",
+                    "table": [[i ^ j for j in range(4)] for i in range(4)],
+                    "names": {"a": 1, "b": 2},
+                },
+                "recursion": {
+                    "rule": "custom",
+                    "table": [[0, 0, 0, 0], [1, 2, 2, 0], [2, 1, 0, 0], [3, 3, 2, 0]],
+                },
+            }
+        )
+    )
+    start = time.perf_counter()
+    assert main(["lsupp", "-g", str(path), "lambda(0,a)", "--depth", "60"]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out == ""
 
 
 def test_decompose_and_witness(z2_file, capsys):

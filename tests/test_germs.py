@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from labeled_thompson import elements as E
 from labeled_thompson import germs as G
 from labeled_thompson.diagrams import Context
-from labeled_thompson.groups import CyclicGroup, WreathRecursion, symmetric_table
+from labeled_thompson.groups import (
+    CyclicGroup,
+    FiniteTableGroup,
+    WreathRecursion,
+    symmetric_table,
+)
 from labeled_thompson.sampling import random_element, random_label
 
 
@@ -105,20 +110,27 @@ def _context(backend, rule, **kw):
 S3 = symmetric_table(3)
 # the sign map: transpositions swap the two halves
 SIGN = {v: S3.mul(v, v) == 0 and v != 0 for v in range(6)}
+# Klein four-group {0, a=1, b=2, ab=3} with a -> (b, b), b -> (a, 1): below
+# a fixed cone labeled a, trivially labeled cones first appear two levels
+# down, and from there on no block holds more than two cones
+V4 = FiniteTableGroup([[i ^ j for j in range(4)] for i in range(4)])
+V4_TABLE = {0: (0, 0, False), 1: (2, 2, False), 2: (1, 0, False), 3: (3, 2, False)}
 LSUPP_CONTEXTS = (
     _context(CyclicGroup(2), "right"),
     _context(CyclicGroup(3), "right"),
     _context(CyclicGroup(None), "adding"),
     _context(S3, "kappa", kappa=SIGN),
+    _context(CyclicGroup(2), "diagonal"),
+    _context(S3, "diagonal"),
+    _context(V4, "custom", table=V4_TABLE),
 )
+LSUPP_IDS = ("z2_right", "z3_right", "z_adding", "s3_kappa", "z2_diag", "s3_diag", "v4_custom")
 
 
-@pytest.mark.parametrize(
-    "ctx", LSUPP_CONTEXTS, ids=("z2_right", "z3_right", "z_adding", "s3_kappa")
-)
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
-@given(rng=st.randoms(use_true_random=False))
-def test_lsupp_matches_per_cone_oracle(ctx, rng):
+def lsupp_inputs(ctx, rng):
+    """Elements with (u, g, v) columns of every kind: localized ones with
+    fixed and moved columns inside one cone, random ones, a product, a
+    lambda and one whose moved columns change length (v != u, |v| != |u|)."""
     cone = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
     if ctx.rule == "adding":
         label = ctx.backend.element(rng.randint(-9, 9))
@@ -126,11 +138,45 @@ def test_lsupp_matches_per_cone_oracle(ctx, rng):
         label = random_label(ctx, rng)
     a = localized(ctx, rng, cone)
     b = random_element(rng, ctx, max_splits=3)
-    for x in (a, b, a * b, E.lambda_u(ctx, cone, label)):
+    labels = [random_label(ctx, rng) for _ in range(3)]
+    shift = E.element(ctx, ["0", "10", "11"], labels, ["00", "01", "1"])
+    return (a, b, a * b, E.lambda_u(ctx, cone, label), shift, ~shift, shift * a)
+
+
+@pytest.mark.parametrize("ctx", LSUPP_CONTEXTS, ids=LSUPP_IDS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_lsupp_matches_per_cone_oracle(ctx, rng):
+    for x in lsupp_inputs(ctx, rng):
         top = max(len(u) for (_, u), _, _ in x.diagram.columns)
         if top <= 8:
             depth = rng.randint(top, 8)
             assert G.lsupp_approx(x, depth) == oracle.lsupp_approx(x, depth)
+
+
+@pytest.mark.parametrize("ctx", LSUPP_CONTEXTS, ids=LSUPP_IDS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_lsupp_count_matches_set(ctx, rng):
+    for x in lsupp_inputs(ctx, rng):
+        top = max(len(u) for (_, u), _, _ in x.diagram.columns)
+        depth = rng.randint(top, top + 6)
+        size = len(G.lsupp_approx(x, depth).included)
+        assert G.lsupp_count(x, depth) == size
+        limit = rng.randrange(size + 2)
+        capped = G.lsupp_count(x, depth, limit)
+        assert capped == size if size <= limit else capped > limit
+
+
+def test_lsupp_count_builds_no_cone(z2_diag, z3_right):
+    # whole blocks are counted by their size: 2^199 cones, read off at once
+    g = z2_diag.source_backend.element(1)
+    assert G.lsupp_count(E.lambda_u(z2_diag, "0", g), 200) == 1 << 199
+    assert G.lsupp_count(E.lambda_u(z2_diag, "0", g), 200, limit=5) > 5
+    # under the right rule one cone per fixed column stays labeled
+    g3 = z3_right.source_backend.element(1)
+    assert G.lsupp_count(E.lambda_u(z3_right, "0", g3), 200) == 1
+    assert G.lsupp_count(E.identity(z2_diag), 10**6) == 0
 
 
 def test_lsupp_depth_guard(z2_diag):
@@ -138,6 +184,8 @@ def test_lsupp_depth_guard(z2_diag):
     lam = E.lambda_u(z2_diag, "01", g)
     with pytest.raises(ValueError, match="shallow"):
         G.lsupp_approx(lam, 1)
+    with pytest.raises(ValueError, match="shallow"):
+        G.lsupp_count(lam, 1)
 
 
 def test_disjoint_supports_commute_examples(z2_diag):
@@ -256,3 +304,4 @@ def test_transitivity_witness_rejects_non_generic(z2_diag, rng):
     x = random_element(rng, z2_diag, max_splits=2)
     with pytest.raises(ValueError, match="generic"):
         G.transitivity_witness([x, x], [x, x])
+
