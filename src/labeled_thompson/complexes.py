@@ -3,13 +3,12 @@
 Covers the two complex families the library can materialize: matching
 complexes on n points, and the descending-link complexes of height-n
 vertices for a finite label group.  Descending links are built twice, by
-independent routes: brute-force orbit enumeration (the wreath action
-applied directly to class tuples) with faces computed by groupoid
-re-splitting, and the fiber-join over the matching complex through the
-forgetful map.  Homology uses Smith normal form over the
-integers: unit pivots are eliminated sparsely and exactly, and the dense
-code (numpy int64 fast path with an exact object-dtype fallback) finishes
-the residual block that has no unit left.
+independent routes: one canonical form per orbit of the wreath action,
+with faces computed by groupoid re-splitting, and the fiber-join over the
+matching complex through the forgetful map.  Homology uses Smith normal
+form over the integers: unit pivots are eliminated sparsely and exactly,
+and the dense code (numpy int64 fast path with an exact object-dtype
+fallback) finishes the residual block that has no unit left.
 """
 
 from __future__ import annotations
@@ -420,29 +419,136 @@ def _class_element(
     return GroupoidElement(LabeledDiagram(ctx, cols, n, m))
 
 
+class CaretOrbits:
+    """The right action of the wreath elements, one range root at a time.
+
+    A range root of F_J is a caret, fed by two domain roots a < c, or bare,
+    fed by one.  Right multiplication by the wreath element (h, tau) moves
+    root r to tau(r) and acts on its leaves alone: a bare root's label g
+    becomes g * h_r, and a caret's state (side of a, g_a, g_c) becomes
+    (side ^ swap, g_a * h_side, g_c * h_(1-side)), where ((h_0, h_1), swap)
+    is the recursion image of h_r.  The recursion is injective, so the group
+    acts freely on the 2|G|^2 caret states, in 2|G| orbits of |G| states.  A
+    class is therefore a j-edge matching of the n domain roots with one
+    caret orbit per edge; the other domain roots feed bare roots.
+    """
+
+    def __init__(self, ctx: Context):
+        G = ctx.backend
+        self.values = list(G.element_values())
+        self.rank = rank = {g: i for i, g in enumerate(self.values)}
+        images = []
+        for h in self.values:
+            img = ctx.recursion.apply(G.element(h))
+            images.append(((img.left.value, img.right.value), int(img.swap)))
+        # caret state -> the orbit member of least (side, label indices), and
+        # the one of least (label a, side, label c) by value
+        self.rep_of: dict[tuple, tuple] = {}
+        self.least_of: dict[tuple, tuple] = {}
+        for state in itertools.product((0, 1), self.values, self.values):
+            if state in self.rep_of:
+                continue
+            s, ga, gc = state
+            orbit = [
+                (s ^ swap, G.mul(ga, kids[s]), G.mul(gc, kids[1 - s]))
+                for kids, swap in images
+            ]
+            rep = min(orbit, key=lambda t: (t[0], rank[t[1]], rank[t[2]]))
+            least = min(orbit, key=lambda t: (t[1], t[0], t[2]))
+            for t in orbit:
+                self.rep_of[t] = rep
+                self.least_of[t] = least
+        self.reps = sorted(set(self.rep_of.values()))
+        if len(self.reps) != 2 * len(self.values):
+            raise AssertionError("right action is not free on classes")
+
+    def representative(self, n: int, edges: Sequence[tuple]) -> tuple:
+        """The class tuple of least (carets, sigma, label indices) in the
+        orbit given by `edges`, the pairs ((a, c), caret orbit
+        representative) by increasing a.  The carets are roots 0..j-1,
+        numbered by their first domain root; the bare roots follow in domain
+        order, labelled by the first group element."""
+        j = len(edges)
+        labels = [self.values[0]] * n
+        sigma: list = [None] * n
+        for r, ((a, c), (s, ga, gc)) in enumerate(edges):
+            sigma[a], sigma[c] = 2 * r + s, 2 * r + 1 - s
+            labels[a], labels[c] = ga, gc
+        leaf = 2 * j
+        for i in range(n):
+            if sigma[i] is None:
+                sigma[i] = leaf
+                leaf += 1
+        return tuple(labels), tuple(sigma), tuple(range(j))
+
+    def key(self, n: int, edges: Sequence[tuple]) -> tuple:
+        """The least product-diagram key (n, m, columns) over the orbit given
+        by `edges`.  Columns compare by label value, then range leaf, so
+        each caret takes its orbit member of least (g_a, side, g_c), each
+        bare root the least label value, and range roots are numbered by
+        first appearance among the domain roots."""
+        low = min(self.values)
+        fed: dict[int, tuple] = {}  # domain root -> (label, side, first feeder)
+        for (a, c), state in edges:
+            s, ga, gc = self.least_of[state]
+            fed[a] = (ga, "01"[s], a)
+            fed[c] = (gc, "01"[1 - s], a)
+        number: dict[int, int] = {}
+        cols = []
+        for i in range(n):
+            g, w, first = fed.get(i, (low, "", i))
+            cols.append(((i, ""), g, (number.setdefault(first, len(number)), w)))
+        return n, n - len(edges), tuple(cols)
+
+    def canonical(self, raw: tuple) -> tuple:
+        """The representative of the class of any raw (labels, sigma,
+        carets) tuple."""
+        labels, sigma, carets = raw
+        leaves = _forest_leaves(len(labels) - len(carets), carets)
+        first: dict[int, tuple] = {}
+        edges = []
+        for i, k in enumerate(sigma):
+            r, w = leaves[k]
+            if not w:
+                continue
+            if r not in first:
+                first[r] = (i, int(w))
+            else:
+                a, s = first.pop(r)
+                edges.append(((a, i), self.rep_of[(s, labels[a], labels[i])]))
+        return self.representative(len(labels), sorted(edges))
+
+
 @dataclass
 class DescendingLink:
-    """Brute-force descending link at height n, with class bookkeeping."""
+    """Descending link at height n, with class bookkeeping."""
 
     context: Context
     n: int
     complex: SimplicialComplex
-    class_of: dict  # raw (labels, sigma, carets) -> class id per |J|
+    class_of: dict  # class representative (labels, sigma, carets) -> class id
     vertex_keys: list
     simplex_vertices: dict  # class id -> tuple of vertex ids
+    orbits: CaretOrbits | None
+
+    def class_id(self, raw: tuple) -> int:
+        """The id of the class of any raw (labels, sigma, carets) tuple."""
+        return self.class_of[self.orbits.canonical(raw)]
 
 
 def dlink_complex(ctx: Context, n: int) -> DescendingLink:
-    """Enumerate the descending-link classes by brute force.
+    """Enumerate the descending-link classes, one canonical form each.
 
     A class is an orbit of [1_n, (g, s), F_J] diagrams under right
     multiplication by the wreath elements (h, tau): labels h on the m range
-    roots, permuted by tau.  The orbit is computed by the direct action of
-    each wreath element on the (labels, sigma, carets) tuple, without
-    building a diagram; the canonical key is the lexicographic minimum of the
-    product diagrams' keys over the orbit, read off the same data.  The
-    vertex of a caret is the class left when every other caret is split,
-    and that face step still goes through groupoid products.
+    roots, permuted by tau.  By `CaretOrbits`, a class is a j-edge matching
+    of the domain roots with a caret orbit per edge, so the classes are
+    listed directly, and the cost scales with their number.  Each class is
+    stored by its orbit minimum in (carets, sigma, label indices) order, and
+    ids follow (j, representative), which is the order in which a walk over
+    every raw tuple would first meet the classes.  The vertex of a caret is
+    the class left when every other caret is split; that face step goes
+    through groupoid products and the canonical lookup.
     """
     G = ctx.backend
     if not G.is_finite():
@@ -451,98 +557,47 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
     if order ** n * math.factorial(n) > enumeration_cap():
         raise ValueError("enumeration cap exceeded")
 
-    gvals = list(G.element_values())
-    # per label value h: right multiplication g -> g * h (compose's order),
-    # and the children of h's recursion image by range-leaf word, with its swap
-    times = {h: {g: G.mul(g, h) for g in gvals} for h in gvals}
-    children = {}
-    for h in gvals:
-        img = ctx.recursion.apply(G.element(h))
-        children[h] = ({"": h, "0": img.left.value, "1": img.right.value}, img.swap)
-    flip = {"": "", "0": "1", "1": "0"}
-
-    def wreath_moves(m: int, carets: tuple[int, ...]) -> list[tuple]:
-        """The right action of every wreath element (h, tau) on F_J.
-
-        The wreath element is the (m, m) diagram with columns
-        ((r, ""), h_r, (tau(r), "")).  Composing [1_n, (g, s), F_J] with it
-        expands its domain at the carets of J only, and the product never
-        reduces, since every domain leaf of the product is a bare root.  So
-        a bare range root (r, "") multiplies its label by h_r and moves to
-        (tau(r), ""), and a caret leaf (r, b) multiplies by child b of
-        h_r's recursion image and moves to (tau(r), b), with b flipped when
-        that image swaps.  One entry per element: for each leaf of F_J in
-        lex order, the map g -> g * h of its label, its image leaf and that
-        leaf's lex rank among the image leaves; then the image caret set.
-        """
-        leaves = _forest_leaves(m, carets)
-        out = []
-        for tau in itertools.permutations(range(m)):
-            image_carets = tuple(sorted(tau[r] for r in carets))
-            for hs in itertools.product(gvals, repeat=m):
-                muls, images = [], []
-                for r, b in leaves:
-                    kids, swap = children[hs[r]]
-                    muls.append(times[kids[b]])
-                    images.append((tau[r], flip[b] if swap else b))
-                rank = {leaf: i for i, leaf in enumerate(sorted(images))}
-                out.append((muls, images, [rank[leaf] for leaf in images], image_carets))
-        return out
-
-    perms = list(itertools.permutations(range(n)))
-    dom = [(i, "") for i in range(n)]
-    class_of: dict[tuple, int] = {}
-    classes: list[tuple] = []
-    keys: list[tuple] = []
-    max_j = n // 2
-    for j in range(1, max_j + 1):
-        m = n - j
-        for carets in itertools.combinations(range(m), j):
-            moves = wreath_moves(m, carets)
-            for sigma in perms:
-                for labels in itertools.product(gvals, repeat=n):
-                    raw = (labels, sigma, carets)
-                    if raw in class_of:
-                        continue
-                    cid = len(classes)
-                    best = None
-                    orbit_size = 0
-                    for muls, images, ranks, image_carets in moves:
-                        img_labels = tuple([muls[s][g] for g, s in zip(labels, sigma)])
-                        tup = (img_labels, tuple([ranks[s] for s in sigma]), image_carets)
-                        if tup not in class_of:
-                            class_of[tup] = cid
-                            orbit_size += 1
-                        cols = tuple(zip(dom, img_labels, [images[s] for s in sigma]))
-                        if best is None or cols < best:
-                            best = cols
-                    if orbit_size != len(moves):
-                        raise AssertionError("right action is not free on classes")
-                    classes.append(raw)
-                    keys.append((n, m, best))
+    orbits = CaretOrbits(ctx)
+    pairs = list(itertools.combinations(range(n), 2))
+    found: list[tuple] = []
+    for j in range(1, n // 2 + 1):
+        for matching in itertools.combinations(pairs, j):
+            if len(set(itertools.chain(*matching))) < 2 * j:
+                continue
+            for states in itertools.product(orbits.reps, repeat=j):
+                edges = list(zip(matching, states))
+                rep = orbits.representative(n, edges)
+                labels, sigma, _ = rep
+                found.append(((j, sigma, tuple(orbits.rank[g] for g in labels)), rep, edges))
+    found.sort(key=lambda item: item[0])
+    classes = [rep for _, rep, _ in found]
+    class_of = {rep: cid for cid, rep in enumerate(classes)}
+    vertex_keys = [orbits.key(n, edges) for _, rep, edges in found if len(rep[2]) == 1]
 
     # vertex set per class: keep one caret, split the others, and read off
-    # the single-caret class
-    vertex_class_ids = [cid for cid, raw in enumerate(classes) if len(raw[2]) == 1]
-    vertex_keys = [keys[cid] for cid in vertex_class_ids]
-    vindex = {cid: i for i, cid in enumerate(vertex_class_ids)}
+    # the single-caret class; those are the first classes, so a vertex's
+    # index is its class id
     simplex_vertices: dict[int, tuple[int, ...]] = {}
+    splitters: dict[tuple, GroupoidElement] = {}
     for cid, (labels, sigma, carets) in enumerate(classes):
         if len(carets) == 1:
-            simplex_vertices[cid] = (vindex[cid],)
+            simplex_vertices[cid] = (cid,)
             continue
         m = n - len(carets)
         rep = _class_element(ctx, n, labels, sigma, carets)
-        found = set()
+        hit = set()
         for r in carets:
-            split = rep * _splitting(ctx, m, [c for c in carets if c != r])
-            found.add(vindex[class_of[_class_tuple(split.diagram)]])
-        if len(found) != len(carets):
+            rest = tuple(c for c in carets if c != r)
+            if (m, rest) not in splitters:
+                splitters[m, rest] = _splitting(ctx, m, rest)
+            split = rep * splitters[m, rest]
+            hit.add(class_of[orbits.canonical(_class_tuple(split.diagram))])
+        if len(hit) != len(carets):
             raise AssertionError("simplex has wrong number of vertices")
-        simplex_vertices[cid] = tuple(sorted(found))
+        simplex_vertices[cid] = tuple(sorted(hit))
 
     cx = SimplicialComplex(vertex_keys, simplex_vertices.values())
-    return DescendingLink(ctx, n, cx, class_of, vertex_keys, simplex_vertices)
+    return DescendingLink(ctx, n, cx, class_of, vertex_keys, simplex_vertices, orbits)
 
 
 def forgetful_pi(key: tuple) -> tuple[int, int]:

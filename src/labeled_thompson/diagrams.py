@@ -14,15 +14,20 @@ one-step moves `simple_reduce` and `simple_expand`.
 
 Validation happens once, at the boundary.  The `LabeledDiagram`
 constructor sorts the columns and checks both forest partitions and the
-labels' group; `tree_diagram`, `from_parts`, `identity_diagram`, `compose`,
-`invert`, the element helpers and JSON all build through it.  Only the two
-one-step moves build their results with the unchecked
-`LabeledDiagram._trusted`, because they cannot break a valid diagram:
-replacing a leaf by its two children, or two sibling leaves by their
-parent, keeps both forest partitions; a leaf's children sort directly
-after it, so the columns stay in domain order; and the new labels come
-from the context's own recursion.  So the intermediate diagrams of a walk
-are not checked one by one, but every product `compose` returns is.
+labels' group; `tree_diagram`, `from_parts`, `identity_diagram`, `invert`, the element
+helpers and JSON all build through it.  The two one-step moves and
+`compose` build their results with the unchecked `LabeledDiagram._trusted`,
+because they cannot break a valid diagram.  A move replaces a leaf by its
+two children, or two sibling leaves by their parent, which keeps both
+forest partitions; a leaf's children sort directly after it, so the
+columns stay in domain order; and the new labels come from the context's
+own recursion.  A product takes its columns from the expansions of two
+valid diagrams to their common refinement: its domain leaves are those of
+the first expansion, in the same order, and its range leaves those of the
+second, each once, since the first's range and the second's domain are the
+refinement itself; its labels are products in the context's group.  So
+neither the intermediate diagrams of a walk nor the products are checked
+one by one.
 """
 
 from __future__ import annotations
@@ -139,8 +144,9 @@ class LabeledDiagram:
         n_roots: int,
     ) -> "LabeledDiagram":
         """A diagram from columns already known to be valid and in domain
-        order; nothing is sorted or checked.  Only the one-step moves use
-        it (see the module docstring for why their results are valid)."""
+        order; nothing is sorted or checked.  Only the one-step moves and
+        `compose` use it (see the module docstring for why their results
+        are valid)."""
         d = object.__new__(cls)
         d.context = context
         d.columns = columns
@@ -330,7 +336,7 @@ def compose(a: LabeledDiagram, b: LabeledDiagram) -> LabeledDiagram:
     for d, g, r in ax.columns:
         h, w = bcols[r]
         cols.append((d, g * h, w))
-    return LabeledDiagram(a.context, cols, a.m_roots, b.n_roots).reduce()
+    return LabeledDiagram._trusted(a.context, tuple(cols), a.m_roots, b.n_roots).reduce()
 
 
 def invert(a: LabeledDiagram) -> LabeledDiagram:

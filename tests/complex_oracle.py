@@ -11,10 +11,12 @@ before sparse unit elimination: the whole matrix goes through
 after that.
 
 ``dlink_complex`` is the compose route that ``complexes.dlink_complex``
-replaced: every orbit element is the groupoid product of the class
-representative with a wreath element diagram, and its class tuple and key
-are read off the reduced product.  It shares the representative, class
-tuple and face step with the library but none of the direct action.
+replaced: it walks every raw ``(labels, sigma, carets)`` tuple, and every
+orbit element is the groupoid product of the class representative with a
+wreath element diagram, whose class tuple and key are read off the reduced
+product.  Its ``class_of`` holds every raw tuple.  It shares the
+representative diagram, class tuple and face step with the library but
+none of the canonical forms.
 """
 
 from __future__ import annotations
@@ -117,4 +119,5 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
         simplex_vertices[cid] = tuple(sorted(found))
 
     cx = SimplicialComplex(vertex_keys, simplex_vertices.values())
-    return DescendingLink(ctx, n, cx, class_of, vertex_keys, simplex_vertices)
+    # class_of holds every raw tuple here, so no canonical lookup is needed
+    return DescendingLink(ctx, n, cx, class_of, vertex_keys, simplex_vertices, None)

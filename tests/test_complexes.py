@@ -328,14 +328,12 @@ def test_forgetful_pi_orbit_invariance(z2_diag):
     link = C.dlink_complex(z2_diag, 3)
     # all raw tuples of one class map to the same pair
     by_class: dict[int, set] = {}
-    for raw, cid in link.class_of.items():
-        labels, sigma, carets = raw
-        if len(carets) != 1:
-            continue
+    for labels, sigma, carets in _raw_tuples(z2_diag, 3, 1):
         el = C._class_element(z2_diag, 3, labels, sigma, carets)
         pair = C.forgetful_pi(el.diagram.key())
-        by_class.setdefault(cid, set()).add(pair)
-    assert by_class and all(len(v) == 1 for v in by_class.values())
+        by_class.setdefault(link.class_id((labels, sigma, carets)), set()).add(pair)
+    assert len(by_class) == len(link.vertex_keys)
+    assert all(len(v) == 1 for v in by_class.values())
 
 
 def test_forgetful_pi_simplicial_surjective(z2_diag):
@@ -388,7 +386,19 @@ def test_dlink_matches_compose_oracle(name, n):
     ctx = DLINK_CONTEXTS[name]
     link = C.dlink_complex(ctx, n)
     ref = oracle.dlink_complex(ctx, n)
-    assert link.class_of == ref.class_of
+    # the oracle's class_of holds every raw tuple, the library's one
+    # representative per class: the first raw tuple of the class met by a
+    # walk in (carets, sigma, label indices) order
+    for raw, cid in ref.class_of.items():
+        assert link.class_id(raw) == cid
+    assert len(link.class_of) == len(set(ref.class_of.values()))
+    rank = {g: i for i, g in enumerate(ctx.backend.element_values())}
+    first: dict[int, tuple] = {}
+    for raw, cid in ref.class_of.items():
+        labels, sigma, carets = raw
+        order = (len(carets), carets, sigma, tuple(rank[g] for g in labels))
+        first[cid] = min(first.get(cid, (order, raw)), (order, raw))
+    assert {raw: cid for cid, (_, raw) in first.items()} == link.class_of
     assert link.vertex_keys == ref.vertex_keys
     assert link.simplex_vertices == ref.simplex_vertices
     assert link.complex.simplices == ref.complex.simplices
@@ -398,13 +408,28 @@ CLASS_COUNT_EXAMPLES = {
     ("z2_diag", 5): {1: 40, 2: 240},
     ("z3_diag", 4): {1: 36, 2: 108},
     ("s3_sign", 4): {1: 72, 2: 432},
+    ("z2_diag", 6): {1: 60, 2: 720, 3: 960},
+    ("z3_diag", 6): {1: 90, 2: 1620, 3: 3240},
+    ("s3_sign", 5): {1: 120, 2: 2160},
 }
+# heights whose raw tuples (over 500,000 of them) are not walked here
+BEYOND_BRUTE_FORCE = {("z2_diag", 6), ("z3_diag", 6), ("s3_sign", 5)}
+
+
+def _raw_tuples(ctx, n, j):
+    """Every raw (labels, sigma, carets) tuple with j carets at height n."""
+    return itertools.product(
+        itertools.product(list(ctx.backend.element_values()), repeat=n),
+        itertools.permutations(range(n)),
+        itertools.combinations(range(n - j), j),
+    )
 
 
 @pytest.mark.parametrize(
     "name, n",
     [("trivial", n) for n in (2, 3, 4, 5)]
-    + [("z2_diag", 5), ("z2_right", 5), ("z3_diag", 4), ("s3_diag", 3), ("s3_sign", 4)],
+    + [("z2_diag", 5), ("z2_right", 5), ("z3_diag", 4), ("s3_diag", 3), ("s3_sign", 4)]
+    + sorted(BEYOND_BRUTE_FORCE),
 )
 def test_dlink_class_counts(name, n):
     """C(m,j) n! |G|^n / (|G|^m m!) classes with j carets, m = n - j: the
@@ -415,16 +440,29 @@ def test_dlink_class_counts(name, n):
     by_carets: dict[int, int] = {}
     for vertices in link.simplex_vertices.values():
         by_carets[len(vertices)] = by_carets.get(len(vertices), 0) + 1
-    want, raw = {}, 0
+    want = {}
     for j in range(1, n // 2 + 1):
         m = n - j
         tuples = math.comb(m, j) * math.factorial(n) * g ** n
         want[j], rest = divmod(tuples, g ** m * math.factorial(m))
         assert rest == 0
-        raw += tuples
     assert by_carets == want
-    assert len(link.class_of) == raw
+    assert len(link.class_of) == sum(want.values())
     assert CLASS_COUNT_EXAMPLES.get((name, n), want) == want
+    if (name, n) in BEYOND_BRUTE_FORCE:
+        assert C.check_complete_join(link)
+        return
+    # every raw tuple lands in a class with j carets, |G|^m m! in each
+    hits: dict[int, int] = {}
+    for j in want:
+        for raw in _raw_tuples(ctx, n, j):
+            cid = link.class_id(raw)
+            assert len(link.simplex_vertices[cid]) == j
+            hits[cid] = hits.get(cid, 0) + 1
+    assert sorted(hits) == list(range(len(link.class_of)))
+    for cid, count in hits.items():
+        m = n - len(link.simplex_vertices[cid])
+        assert count == g ** m * math.factorial(m)
 
 
 def test_dlink_cap(z2_diag):

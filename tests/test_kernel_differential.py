@@ -1,6 +1,6 @@
 """Differential tests: the one-pass diagram kernel against the rescanning
 reference in diagram_oracle, and the unchecked results of the one-step
-moves against the validating `LabeledDiagram` constructor.
+moves and of `compose` against the validating `LabeledDiagram` constructor.
 
 Diagrams are random small diagrams expanded at random columns to 16-128
 leaves, with a few labels then changed so that only part of the expansion
@@ -37,11 +37,14 @@ CHECKS = settings(
 )
 
 
-def _context(backend, rule):
-    return Context(backend, WreathRecursion(backend, rule))
+def _context(backend, rule, **kw):
+    return Context(backend, WreathRecursion(backend, rule, **kw))
 
 
-S3_DIAG = _context(symmetric_table(3), "diagonal")
+S3 = symmetric_table(3)
+S3_DIAG = _context(S3, "diagonal")
+# the sign map: transpositions swap the two halves
+S3_SIGN = _context(S3, "kappa", kappa={v: S3.mul(v, v) == 0 and v != 0 for v in range(6)})
 CONTEXTS = (
     _context(CyclicGroup(2), "diagonal"),
     _context(CyclicGroup(None), "adding"),
@@ -153,7 +156,7 @@ def test_forest_inverse_of_reduced_is_reduced(m, n, data):
     _assert_inverse_reduced(x, GroupoidElement)
 
 
-# -- the trusted one-step moves against the validating constructor ---------
+# -- the trusted builders against the validating constructor ----------------
 
 
 def _assert_valid(d):
@@ -199,10 +202,33 @@ def test_trusted_forest_moves_pass_validation(m, n, p, data):
     _assert_valid(compose(a, b))
 
 
+@pytest.mark.parametrize(
+    "ctx", (CONTEXTS[0], S3_SIGN, CONTEXTS[1]), ids=("z2_diag", "s3_sign", "z_adding")
+)
+@CHECKS
+@given(data=st.data())
+def test_trusted_products_pass_validation(ctx, data):
+    """`compose` builds its product unchecked: the validating constructor
+    accepts the product's columns as they are and gives an equal diagram."""
+    m, n, p = data.draw(st.sampled_from([(1, 1, 1), (1, 2, 3), (3, 2, 1), (2, 2, 2)]))
+    if m == n == p == 1:
+        a = data.draw(tree_diagrams(ctx, leaves=(16, 64)))
+        b = data.draw(tree_diagrams(ctx, leaves=(16, 64)))
+    else:
+        a = data.draw(forest_diagrams(ctx, m, n))
+        b = data.draw(forest_diagrams(ctx, n, p))
+    c = compose(a, b)
+    checked = LabeledDiagram(ctx, c.columns, c.m_roots, c.n_roots)
+    assert checked.columns == c.columns
+    assert checked == c
+
+
 def test_trusted_constructor_only_in_one_step_moves():
+    """The one-step moves and `compose` are the only unchecked builders."""
     assert set(package_calls({"_trusted"})) == {
         ("diagrams.py", "LabeledDiagram.simple_expand"),
         ("diagrams.py", "LabeledDiagram.simple_reduce"),
+        ("diagrams.py", "compose"),
     }
 
 
