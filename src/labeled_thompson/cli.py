@@ -5,7 +5,8 @@ element a acts first, so points satisfy (w)(a*b) = ((w)a)b.  Exit codes:
 0 success, 1 a verification answered false, 2 usage errors, 3 an internal
 consistency check failed (a bug, never a false answer).  `lsupp` counts
 the cones of a support before it builds them and refuses, with exit 2,
-supports of more than LSUPP_MAX_CONES = 2^16 cones.
+supports of more than LSUPP_MAX_CONES = 2^16 cones; `complex` likewise
+refuses complexes past the size limits of `complexes`, counted exactly.
 """
 
 from __future__ import annotations

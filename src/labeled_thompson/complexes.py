@@ -2,13 +2,18 @@
 
 Covers the two complex families the library can materialize: matching
 complexes on n points, and the descending-link complexes of height-n
-vertices for a finite label group.  Descending links are built twice, by
-independent routes: one canonical form per orbit of the wreath action,
-with faces computed by groupoid re-splitting, and the fiber-join over the
-matching complex through the forgetful map.  Homology uses Smith normal
-form over the integers: unit pivots are eliminated sparsely and exactly,
-and the dense code (numpy int64 fast path with an exact object-dtype
-fallback) finishes the residual block that has no unit left.
+vertices for a finite label group.  Both are built from one enumerator of
+the matchings of K_n, and both are sized exactly before anything is listed:
+M_n has sum_j (#j-matchings) simplices and the descending link
+sum_j (#j-matchings) (2|G|)^j classes.  Past MAX_MATCHING_SIMPLICES or
+MAX_DLINK_CLASSES the constructors raise ValueError.  Descending links are
+built twice, by independent routes: one canonical form per orbit of the
+wreath action, with faces computed by groupoid re-splitting, and the
+fiber-join over the matching complex through the forgetful map.  Homology
+uses Smith normal form over the integers: unit pivots are eliminated
+sparsely and exactly, and the dense code (numpy int64 fast path with an
+exact object-dtype fallback) finishes the residual block that has no unit
+left.
 """
 
 from __future__ import annotations
@@ -16,22 +21,19 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .diagrams import Context, LabeledDiagram
 from .elements import GroupoidElement
 
-DEFAULT_ENUM_CAP = 2_000_000
-ENUM_CAP_ENV = "LTG_ENUM_CAP"
-
-
-def enumeration_cap() -> int:
-    raw = os.environ.get(ENUM_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ENUM_CAP
+# size limits, checked by exact counts before anything is listed: M_14
+# (2,390,479 simplices) and Z/2 diagonal n=8 (57,232 classes) are admitted,
+# M_15 and Z/2 diagonal n=9 (328,752 classes) are refused
+MAX_MATCHING_SIMPLICES = 1 << 22
+MAX_DLINK_CLASSES = 1 << 16
 
 
 class SimplicialComplex:
@@ -305,8 +307,15 @@ def homology(cx: SimplicialComplex, up_to: int) -> HomologyResult:
     """Reduced integer homology through dimension `up_to`.
 
     Betti_k = dim ker d_k - rank d_{k+1}; torsion in dimension k is the
-    set of nontrivial elementary divisors of d_{k+1}.
+    set of nontrivial elementary divisors of d_{k+1}.  `up_to` may not
+    exceed the number of vertices: no simplex on v vertices has dimension
+    v or more, so every further group is zero.
     """
+    if up_to > len(cx.vertices):
+        raise ValueError(
+            f"up_to {up_to} exceeds the {len(cx.vertices)} vertices of the "
+            "complex; every homology group past them is zero"
+        )
     betti: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     ranks: dict[int, int] = {}
@@ -339,24 +348,58 @@ def _check_euler(cx: SimplicialComplex, res: HomologyResult, up_to: int):
 # -- matching complexes ------------------------------------------------------
 
 
+def _matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The nonempty matchings of K_n on the points 0..n-1, each as a tuple
+    of edges (a, c) with a < c, listed by increasing a."""
+
+    def grow(edges: tuple, free: tuple) -> Iterator[tuple]:
+        # free: the unmatched points past the last edge's a; a point passed
+        # over as an a can never be matched later, since every later edge
+        # has a larger a and c > a
+        for i, a in enumerate(free):
+            for k in range(i + 1, len(free)):
+                more = edges + ((a, free[k]),)
+                yield more
+                yield from grow(more, free[i + 1:k] + free[k + 1:])
+
+    return grow((), tuple(range(n)))
+
+
+def _matching_count(n: int, weight: int, stop: float) -> int:
+    """Sum over j >= 1 of (number of j-edge matchings of K_n) * weight^j,
+    or the first partial sum, over K_k for some k < n, past `stop`.
+
+    T(k) = T(k-1) + weight (k-1) T(k-2) counts the weighted matchings of
+    K_k, the empty one included: point k is unmatched, or matched to one
+    of the k-1 others.  Weight 1 counts the simplices of M_n, weight 2|G|
+    the descending-link classes at height n.  T grows with k, so a partial
+    sum past `stop` shows the full one is too; stopping there keeps the
+    check short on large n, where T(n) has about n log n digits.
+    """
+    prev, cur = 1, 1
+    for k in range(2, n + 1):
+        if cur - 1 > stop:
+            break
+        prev, cur = cur, cur + weight * (k - 1) * prev
+    return cur - 1
+
+
 def matching_complex(n: int) -> SimplicialComplex:
-    """Vertices are 2-subsets of {1..n}; faces are partial matchings."""
+    """Vertices are 2-subsets of {1..n}; faces are partial matchings.
+
+    Refuses, before listing any, complexes of more than
+    MAX_MATCHING_SIMPLICES simplices (M_15 and up)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    verts = [frozenset(p) for p in itertools.combinations(range(1, n + 1), 2)]
-    index = {v: i for i, v in enumerate(verts)}
-    simplices: list[tuple[int, ...]] = []
-
-    def grow(chosen: list[int], used: frozenset, start: int):
-        if chosen:
-            simplices.append(tuple(chosen))
-        for i in range(start, len(verts)):
-            if not (verts[i] & used):
-                grow(chosen + [i], used | verts[i], i + 1)
-
-    grow([], frozenset(), 0)
-    keys = [tuple(sorted(v)) for v in verts]
-    return SimplicialComplex(keys, simplices)
+    if _matching_count(n, 1, MAX_MATCHING_SIMPLICES) > MAX_MATCHING_SIMPLICES:
+        raise ValueError(
+            f"M_{n} has more than MAX_MATCHING_SIMPLICES = "
+            f"{MAX_MATCHING_SIMPLICES:,} simplices"
+        )
+    verts = list(itertools.combinations(range(1, n + 1), 2))
+    index = {(a - 1, c - 1): i for i, (a, c) in enumerate(verts)}
+    simplices = [tuple(index[e] for e in m) for m in _matchings(n)]
+    return SimplicialComplex(verts, simplices)
 
 
 def connectivity_bound(n: int) -> int:
@@ -543,32 +586,36 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
     multiplication by the wreath elements (h, tau): labels h on the m range
     roots, permuted by tau.  By `CaretOrbits`, a class is a j-edge matching
     of the domain roots with a caret orbit per edge, so the classes are
-    listed directly, and the cost scales with their number.  Each class is
-    stored by its orbit minimum in (carets, sigma, label indices) order, and
-    ids follow (j, representative), which is the order in which a walk over
-    every raw tuple would first meet the classes.  The vertex of a caret is
+    listed directly, and the cost scales with their number.  That number is
+    counted first, and heights with more than MAX_DLINK_CLASSES classes are
+    refused before anything is listed.  Each class is stored by its orbit
+    minimum in (carets, sigma, label indices) order, and ids follow
+    (j, representative), which is the order in which a walk over every raw
+    tuple would first meet the classes.  The vertex of a caret is
     the class left when every other caret is split; that face step goes
     through groupoid products and the canonical lookup.
     """
     G = ctx.backend
     if not G.is_finite():
         raise ValueError("descending links need a finite label group")
-    order = G.order()
-    if order ** n * math.factorial(n) > enumeration_cap():
-        raise ValueError("enumeration cap exceeded")
+    size = _matching_count(n, 2 * G.order(), MAX_DLINK_CLASSES)
+    if size > MAX_DLINK_CLASSES:
+        raise ValueError(
+            f"the descending link at height {n} has more than "
+            f"MAX_DLINK_CLASSES = {MAX_DLINK_CLASSES:,} classes"
+        )
 
     orbits = CaretOrbits(ctx)
-    pairs = list(itertools.combinations(range(n), 2))
     found: list[tuple] = []
-    for j in range(1, n // 2 + 1):
-        for matching in itertools.combinations(pairs, j):
-            if len(set(itertools.chain(*matching))) < 2 * j:
-                continue
-            for states in itertools.product(orbits.reps, repeat=j):
-                edges = list(zip(matching, states))
-                rep = orbits.representative(n, edges)
-                labels, sigma, _ = rep
-                found.append(((j, sigma, tuple(orbits.rank[g] for g in labels)), rep, edges))
+    for matching in _matchings(n):
+        j = len(matching)
+        for states in itertools.product(orbits.reps, repeat=j):
+            edges = list(zip(matching, states))
+            rep = orbits.representative(n, edges)
+            labels, sigma, _ = rep
+            found.append(((j, sigma, tuple(orbits.rank[g] for g in labels)), rep, edges))
+    if len(found) != size:
+        raise AssertionError(f"listed {len(found)} classes, counted {size}")
     found.sort(key=lambda item: item[0])
     classes = [rep for _, rep, _ in found]
     class_of = {rep: cid for cid, rep in enumerate(classes)}
@@ -617,16 +664,12 @@ def _vertex_pi(link: DescendingLink) -> list[tuple[int, int]]:
 def dlink_via_join(link: DescendingLink) -> SimplicialComplex:
     """The fiber-join model over the matching complex: independent of the
     brute-force face computation, sharing the same vertex keys."""
-    n = link.n
-    pi = _vertex_pi(link)
     fibers: dict[tuple[int, int], list[int]] = {}
-    for v, pair in enumerate(pi):
+    for v, pair in enumerate(_vertex_pi(link)):
         fibers.setdefault(pair, []).append(v)
-    mn = matching_complex(n)
     simplices: list[tuple[int, ...]] = []
-    for s in mn.simplices:
-        pairs = [mn.vertices[i] for i in s]
-        for combo in itertools.product(*(fibers[p] for p in pairs)):
+    for matching in _matchings(link.n):
+        for combo in itertools.product(*(fibers[a + 1, c + 1] for a, c in matching)):
             simplices.append(tuple(sorted(combo)))
     return SimplicialComplex(link.vertex_keys, simplices)
 
@@ -634,22 +677,18 @@ def dlink_via_join(link: DescendingLink) -> SimplicialComplex:
 def check_complete_join(link: DescendingLink) -> bool:
     """Verify the forgetful map is a complete join, exhaustively.
 
-    (1) simplicial and surjective, (2) injective on individual simplices,
-    (3) every simplex preimage is the join of its vertex fibers, which by
-    finiteness reduces to equality with the fiber-join complex.
+    (1) injective on individual simplices and simplicial: the image pairs
+    of a simplex are pairwise disjoint, so they form a matching; (2)
+    surjective: all C(n,2) pairs are hit; (3) every simplex preimage is the
+    join of its vertex fibers, which by finiteness reduces to equality with
+    the fiber-join complex.
     """
-    n = link.n
-    mn = matching_complex(n)
-    mindex = {v: i for i, v in enumerate(mn.vertices)}
     pi = _vertex_pi(link)
     for s in link.complex.simplices:
-        image = {pi[v] for v in s}
-        if len(image) != len(s):
-            return False  # not injective on a simplex
-        if tuple(sorted(mindex[p] for p in image)) not in mn.simplices:
-            return False  # not simplicial
-    hit = {pi[v] for s in link.complex.simplices for v in s}
-    if hit != set(mn.vertices):
+        ends = [i for v in s for i in pi[v]]
+        if len(set(ends)) != len(ends):
+            return False  # two image pairs coincide or meet
+    if len(set(pi)) != math.comb(link.n, 2):
         return False  # not surjective on vertices
     join = dlink_via_join(link)
     return join.simplices == link.complex.simplices

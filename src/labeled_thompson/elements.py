@@ -301,7 +301,6 @@ def generation_word(a: VPhiElement) -> list[tuple[str, object]]:
     ctx = a.context
     word: list[tuple[str, object]] = []
     cols = a.diagram.columns
-    dom = [w for (_, w), _, _ in cols]
     for (_, u), g, _ in cols:
         if g.is_identity():
             continue

@@ -131,7 +131,11 @@ class GroupBackend:
 
 
 class FiniteTableGroup(GroupBackend):
-    """Cayley-table group on indices 0..n-1 with 0 the identity."""
+    """Cayley-table group on indices 0..n-1 with 0 the identity.
+
+    The constructor checks the group axioms: a Latin square with identity
+    0 is a loop, and it is a group when it is associative (n^3 lookups).
+    """
 
     kind = "finite-table"
 
@@ -148,6 +152,8 @@ class FiniteTableGroup(GroupBackend):
             ) != list(range(n)):
                 raise ValueError("Cayley table is not a Latin square")
         self.n = n
+        if not self.is_associative():
+            raise ValueError("Cayley table is not associative")
         self._inv = [0] * n
         for i in range(n):
             for j in range(n):

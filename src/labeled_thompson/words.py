@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-ALPHABET = ("0", "1")
-
 # A leaf address: (root index, binary word below that root).
 Leaf = tuple[int, str]
 

@@ -184,6 +184,35 @@ def test_complex_and_homology(tmp_path, capsys):
     assert data == [{"dim": 0, "betti": 0, "torsion": []}]
 
 
+def test_homology_refuses_dimensions_past_the_vertex_count(tmp_path, capsys):
+    out = tmp_path / "m5.json"
+    assert main(["complex", "matching", "-n", "5", "-o", str(out)]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["homology", str(out), "--up-to", "100000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith("error: up_to 100000000 exceeds the 10 vertices")
+    # up to the vertex count every row is printed, the empty ones as zero
+    assert main(["--json", "homology", str(out), "--up-to", "10"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["dim"] for row in rows] == list(range(11))
+    assert rows[1] == {"dim": 1, "betti": 6, "torsion": []}
+    assert all(row == {"dim": k, "betti": 0, "torsion": []} for k, row in enumerate(rows) if k != 1)
+
+
+def test_complex_size_limits(z2_file, capsys):
+    for argv in (
+        ["complex", "matching", "-n", "16"],
+        ["complex", "dlink", "-n", "9", "-g", z2_file],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "more than MAX_" in err
+
+
 def test_matching_ten_round_trip(tmp_path, capsys):
     out = tmp_path / "m10.json"
     assert main(["complex", "matching", "-n", "10", "-o", str(out)]) == 0
@@ -276,6 +305,20 @@ def test_internal_error_exit_code(z2_file, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "internal error: Euler characteristic mismatch\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_non_associative_table_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "loop5.json"
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    path.write_text(
+        json.dumps({"group": {"kind": "finite", "table": loop}, "recursion": {"rule": "diagonal"}})
+    )
+    a = "lambda(0,1) * (lambda(0,1) * lambda(0,2))"
+    b = "(lambda(0,1) * lambda(0,1)) * lambda(0,2)"
+    assert main(["eq", "-g", str(path), a, b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Cayley table is not associative\n"
 
 
 def test_group_file_missing_field(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -411,9 +412,12 @@ CLASS_COUNT_EXAMPLES = {
     ("z2_diag", 6): {1: 60, 2: 720, 3: 960},
     ("z3_diag", 6): {1: 90, 2: 1620, 3: 3240},
     ("s3_sign", 5): {1: 120, 2: 2160},
+    ("z2_diag", 8): {1: 112, 2: 3360, 3: 26880, 4: 26880},
 }
+# about 30 s each: run with pytest -m slow
+SLOW_HEIGHTS = {("z2_diag", 8)}
 # heights whose raw tuples (over 500,000 of them) are not walked here
-BEYOND_BRUTE_FORCE = {("z2_diag", 6), ("z3_diag", 6), ("s3_sign", 5)}
+BEYOND_BRUTE_FORCE = {("z2_diag", 6), ("z3_diag", 6), ("s3_sign", 5)} | SLOW_HEIGHTS
 
 
 def _raw_tuples(ctx, n, j):
@@ -429,7 +433,8 @@ def _raw_tuples(ctx, n, j):
     "name, n",
     [("trivial", n) for n in (2, 3, 4, 5)]
     + [("z2_diag", 5), ("z2_right", 5), ("z3_diag", 4), ("s3_diag", 3), ("s3_sign", 4)]
-    + sorted(BEYOND_BRUTE_FORCE),
+    + sorted(BEYOND_BRUTE_FORCE - SLOW_HEIGHTS)
+    + [pytest.param(*case, marks=pytest.mark.slow) for case in sorted(SLOW_HEIGHTS)],
 )
 def test_dlink_class_counts(name, n):
     """C(m,j) n! |G|^n / (|G|^m m!) classes with j carets, m = n - j: the
@@ -465,15 +470,88 @@ def test_dlink_class_counts(name, n):
         assert count == g ** m * math.factorial(m)
 
 
-def test_dlink_cap(z2_diag):
-    import os
+def _refuse_listing(*args):
+    raise AssertionError("listed matchings past the size limit")
 
-    os.environ[C.ENUM_CAP_ENV] = "10"
-    try:
-        with pytest.raises(ValueError, match="cap"):
-            C.dlink_complex(z2_diag, 4)
-    finally:
-        del os.environ[C.ENUM_CAP_ENV]
+
+def test_dlink_cap(z2_diag, trivial_diag, monkeypatch):
+    # 328,752 classes at Z/2 diagonal n=9: refused from the count alone
+    monkeypatch.setattr(C, "_matchings", _refuse_listing)
+    monkeypatch.setattr(C, "CaretOrbits", _refuse_listing)
+    assert C._matching_count(9, 4, math.inf) == 328_752
+    with pytest.raises(ValueError, match="height 9 has more than MAX_DLINK_CLASSES"):
+        C.dlink_complex(z2_diag, 9)
+    # trivial n=10 has 133,650 classes; n=9 (26,784) is the largest admitted
+    assert C._matching_count(9, 2, math.inf) <= C.MAX_DLINK_CLASSES
+    for n in (10, 10**6):
+        with pytest.raises(ValueError, match="MAX_DLINK_CLASSES"):
+            C.dlink_complex(trivial_diag, n)
+
+
+def test_matching_size_limit(monkeypatch):
+    monkeypatch.setattr(C, "_matchings", _refuse_listing)
+    for n in (15, 10**6):
+        with pytest.raises(ValueError, match="MAX_MATCHING_SIMPLICES"):
+            C.matching_complex(n)
+    assert C._matching_count(14, 1, math.inf) == 2_390_479 <= C.MAX_MATCHING_SIMPLICES
+
+
+def test_matching_count_stops_past_the_limit():
+    # the partial sums grow with n, so the first one past the limit suffices
+    for weight, stop in ((1, 100), (4, 1000), (2, 26_784)):
+        exact = [C._matching_count(n, weight, math.inf) for n in range(30)]
+        for n in range(30):
+            got = C._matching_count(n, weight, stop)
+            assert got == exact[n] if exact[n] <= stop else exact[n] >= got > stop
+
+
+def test_dlink_checks_the_listing_against_the_count(z2_diag, monkeypatch):
+    listing = C._matchings
+    monkeypatch.setattr(C, "_matchings", lambda n: itertools.islice(listing(n), 1, None))
+    with pytest.raises(AssertionError, match="listed 68 classes, counted 72"):
+        C.dlink_complex(z2_diag, 4)
+
+
+def test_matching_count_matches_the_listing():
+    for n in range(10):
+        matchings = list(C._matchings(n))
+        assert len(set(matchings)) == len(matchings)
+        for m in matchings:
+            ends = [i for edge in m for i in edge]
+            assert len(set(ends)) == len(ends) and all(a < c for a, c in m)
+            assert [a for a, _ in m] == sorted(a for a, _ in m)
+        for weight in (1, 2, 4, 6):
+            want = sum(weight ** len(m) for m in matchings)
+            assert C._matching_count(n, weight, math.inf) == want
+        by_size = [sum(len(m) == j for m in matchings) for j in range(1, n // 2 + 1)]
+        assert by_size == [_matchings(n, j) for j in range(1, n // 2 + 1)]
+
+
+def test_complete_join_rejects_broken_links(z2_diag):
+    link = C.dlink_complex(z2_diag, 4)
+    assert C.check_complete_join(link)
+    pi = [C.forgetful_pi(k) for k in link.vertex_keys]
+    # an edge between two vertices whose pairs meet is not simplicial
+    u, v = next(
+        (u, v)
+        for u, v in itertools.combinations(range(len(pi)), 2)
+        if set(pi[u]) & set(pi[v])
+    )
+    extra = C.SimplicialComplex(link.vertex_keys, list(link.complex.simplices) + [(u, v)])
+    assert not C.check_complete_join(dataclasses.replace(link, complex=extra))
+    # a missing pair is not surjective
+    keep = [w for w in range(len(pi)) if pi[w] != (1, 2)]
+    where = {w: i for i, w in enumerate(keep)}
+    sub = C.SimplicialComplex(
+        [link.vertex_keys[w] for w in keep],
+        [
+            tuple(where[w] for w in s)
+            for s in link.complex.simplices
+            if all(w in where for w in s)
+        ],
+    )
+    cut = dataclasses.replace(link, complex=sub, vertex_keys=sub.vertices)
+    assert not C.check_complete_join(cut)
 
 
 def test_connectivity_report_vacuous(trivial_diag):

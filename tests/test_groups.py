@@ -54,6 +54,12 @@ def test_finite_table_validation():
         FiniteTableGroup([[0, 1], [0, 1]])  # not a Latin square
     with pytest.raises(ValueError):
         FiniteTableGroup([[1, 0], [0, 1]])  # identity not at 0
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteTableGroup(LOOP5)  # a Latin square with identity 0: a loop
+
+
+# the smallest loop that is not a group
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
 
 def test_cyclic_groups():
