@@ -6,7 +6,9 @@ element a acts first, so points satisfy (w)(a*b) = ((w)a)b.  Exit codes:
 consistency check failed (a bug, never a false answer).  `lsupp` counts
 the cones of a support before it builds them and refuses, with exit 2,
 supports of more than LSUPP_MAX_CONES = 2^16 cones; `complex` likewise
-refuses complexes past the size limits of `complexes`, counted exactly.
+refuses complexes past the size limits of `complexes`, counted exactly,
+`homology` boundary matrices past MAX_BOUNDARY_CELLS, and an expression
+power any product past MAX_POWER_COLUMNS columns.
 """
 
 from __future__ import annotations

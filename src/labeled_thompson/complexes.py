@@ -34,6 +34,10 @@ from .elements import GroupoidElement
 # M_15 and Z/2 diagonal n=9 (328,752 classes) are refused
 MAX_MATCHING_SIMPLICES = 1 << 22
 MAX_DLINK_CLASSES = 1 << 16
+# dense int64 cells of one boundary matrix that `homology` builds: d_2 of
+# M_12 (20,582,100, 165 MB) is admitted, d_3 of M_12 (720,373,500, 5.8 GB)
+# refused
+MAX_BOUNDARY_CELLS = 1 << 25
 
 
 class SimplicialComplex:
@@ -316,6 +320,15 @@ def homology(cx: SimplicialComplex, up_to: int) -> HomologyResult:
             f"up_to {up_to} exceeds the {len(cx.vertices)} vertices of the "
             "complex; every homology group past them is zero"
         )
+    # f[k] simplices of dimension k - 1, the empty one included: d_k is a
+    # dense f[k] x f[k + 1] matrix
+    f = [1] + cx.f_vector() + [0] * (up_to + 2)
+    for k in range(up_to + 2):
+        if f[k] * f[k + 1] > MAX_BOUNDARY_CELLS:
+            raise ValueError(
+                f"d_{k} would have {f[k] * f[k + 1]:,} dense cells, more than "
+                f"MAX_BOUNDARY_CELLS = {MAX_BOUNDARY_CELLS:,}; lower up_to"
+            )
     betti: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     ranks: dict[int, int] = {}
@@ -410,36 +423,19 @@ def connectivity_bound(n: int) -> int:
 # -- descending links --------------------------------------------------------
 
 
+def _forest_leaves(m: int, carets: Sequence[int]) -> list:
+    """Leaves of the elementary forest F_J on m roots, in lex order."""
+    cset = set(carets)
+    return [(r, w) for r in range(m) for w in (("0", "1") if r in cset else ("",))]
+
+
 def _splitting(ctx: Context, roots: int, carets: Sequence[int]) -> GroupoidElement:
     """The label-free splitter [F_J, 1, 1_(roots+|J|)]: domain has a caret
     at each listed root, range is the expanded row of bare roots."""
-    cols = []
-    out = 0
+    leaves = _forest_leaves(roots, carets)
     one = ctx.one()
-    cset = set(carets)
-    for r in range(roots):
-        if r in cset:
-            cols.append(((r, "0"), one, (out, "")))
-            out += 1
-            cols.append(((r, "1"), one, (out, "")))
-            out += 1
-        else:
-            cols.append(((r, ""), one, (out, "")))
-            out += 1
-    return GroupoidElement(LabeledDiagram(ctx, cols, roots, out))
-
-
-def _forest_leaves(m: int, carets: Sequence[int]) -> list:
-    """Leaves of the elementary forest F_J on m roots, in lex order."""
-    leaves: list = []
-    cset = set(carets)
-    for r in range(m):
-        if r in cset:
-            leaves.append((r, "0"))
-            leaves.append((r, "1"))
-        else:
-            leaves.append((r, ""))
-    return leaves
+    cols = [(leaf, one, (i, "")) for i, leaf in enumerate(leaves)]
+    return GroupoidElement(LabeledDiagram(ctx, cols, roots, len(leaves)))
 
 
 def _class_tuple(d: LabeledDiagram) -> tuple:

@@ -22,7 +22,8 @@ two children, or two sibling leaves by their parent, which keeps both
 forest partitions; a leaf's children sort directly after it, so the
 columns stay in domain order; and the new labels come from the context's
 own recursion.  A product takes its columns from the expansions of two
-valid diagrams to their common refinement: its domain leaves are those of
+valid diagrams to their common refinement, which `forest_refinement`
+finds in one sorted pass over both leaf sets: its domain leaves are those of
 the first expansion, in the same order, and its range leaves those of the
 second, each once, since the first's range and the second's domain are the
 refinement itself; its labels are products in the context's group.  So
@@ -41,12 +42,7 @@ from .groups import (
     WreathRecursion,
     injectivize,
 )
-from .words import (
-    Leaf,
-    common_refinement,
-    complete_to_partition,
-    is_forest_partition,
-)
+from .words import Leaf, complete_to_partition, is_forest_partition
 
 Column = tuple[Leaf, GroupElement, Leaf]
 
@@ -305,13 +301,17 @@ class LabeledDiagram:
         return [(r, ~g, d) for d, g, r in self.columns]
 
 
-def forest_refinement(p: Sequence[Leaf], q: Sequence[Leaf], roots: int) -> list[Leaf]:
-    """Common refinement of two forest partitions, root by root."""
-    out: list[Leaf] = []
-    for r in range(roots):
-        pr = [w for root, w in p if root == r]
-        qr = [w for root, w in q if root == r]
-        out.extend((r, w) for w in common_refinement(pr, qr))
+def forest_refinement(p: Sequence[Leaf], q: Sequence[Leaf]) -> list[Leaf]:
+    """Coarsest common refinement of two forest partitions on the same roots.
+
+    The inputs are leaves of validated diagrams and are not checked again;
+    `expand_to` refuses a target that its expansion does not reach exactly.
+    In (root, word) order a leaf's extensions sort directly after it, so a
+    leaf is kept unless its successor extends it under the same root.
+    """
+    pool = sorted(set(p) | set(q))
+    out = [a for a, b in zip(pool, pool[1:]) if a[0] != b[0] or not b[1].startswith(a[1])]
+    out.append(pool[-1])
     return out
 
 
@@ -328,7 +328,7 @@ def compose(a: LabeledDiagram, b: LabeledDiagram) -> LabeledDiagram:
         raise ValueError(
             f"arity mismatch: {a.n_roots} range roots vs {b.m_roots} domain roots"
         )
-    mid = forest_refinement(a.range_(), b.domain(), a.n_roots)
+    mid = forest_refinement(a.range_(), b.domain())
     ax = a.expand_to(mid, on_range=True)
     bx = b.expand_to(mid)
     bcols = {d: (g, r) for d, g, r in bx.columns}

@@ -15,7 +15,21 @@ from typing import Iterable, Optional, Sequence
 from . import diagrams
 from .diagrams import Context, LabeledDiagram
 from .groups import GroupElement
-from .words import OMEGA0, EventuallyPeriodicWord, Leaf, complete_to_partition
+from .words import OMEGA0, EventuallyPeriodicWord, Leaf, padded_complements
+
+
+# the most columns a product on the way to a power may have; each squaring
+# can double the count
+MAX_POWER_COLUMNS = 1 << 12
+
+
+def _bounded_power(x: "VPhiElement") -> "VPhiElement":
+    if len(x.diagram.columns) > MAX_POWER_COLUMNS:
+        raise ValueError(
+            f"a power passes {len(x.diagram.columns):,} columns, more than "
+            f"MAX_POWER_COLUMNS = {MAX_POWER_COLUMNS:,}"
+        )
+    return x
 
 
 def _of_reduced(cls, diagram: LabeledDiagram):
@@ -94,16 +108,19 @@ class VPhiElement(GroupoidElement):
     __invert__ = GroupoidElement.__invert__
 
     def __pow__(self, n: int) -> "VPhiElement":
+        """Power by repeated squaring; raises ValueError when a product on
+        the way has more than MAX_POWER_COLUMNS columns."""
         if n < 0:
             return (~self) ** (-n)
         out = identity(self.context)
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = _bounded_power(out * base)
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = _bounded_power(base * base)
 
     def conjugate(self, by: "VPhiElement") -> "VPhiElement":
         return ~by * self * by
@@ -309,18 +326,9 @@ def generation_word(a: VPhiElement) -> list[tuple[str, object]]:
                 word.append(("iota", out_g))
             else:
                 # move the 0-cone onto the target cone by a label-free element
-                rest_src = complete_to_partition(["0"])
-                rest_dst = complete_to_partition([out_u])
-                while len(rest_src) < len(rest_dst):
-                    w = rest_src[-1]
-                    rest_src = sorted(rest_src[:-1] + [w + "0", w + "1"])
-                while len(rest_dst) < len(rest_src):
-                    w = [x for x in rest_dst if x != out_u][-1]
-                    rest_dst = sorted(
-                        [x for x in rest_dst if x != w] + [w + "0", w + "1"]
-                    )
-                src = ["0"] + [w for w in rest_src if w != "0"]
-                dst = [out_u] + [w for w in rest_dst if w != out_u]
+                rest_src, rest_dst = padded_complements(["0"], [out_u])
+                src = ["0"] + rest_src
+                dst = [out_u] + rest_dst
                 ones = [ctx.one()] * len(src)
                 carrier = element(ctx, src, ones, dst)
                 word.append(("plain", ~carrier))

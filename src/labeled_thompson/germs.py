@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .elements import VPhiElement, commutator, element
 from .groups import GroupElement
-from .words import OMEGA0, _cone_excess, complete_to_partition
+from .words import OMEGA0, _cone_excess, padded_complements
 
 
 class LabelUndefined(ValueError):
@@ -322,16 +322,7 @@ def transitivity_witness(
     sources = [v for _, v in b_data]
     targets = [v for _, v in a_data]
     labels = [~gb * ga for (ga, _), (gb, _) in zip(a_data, b_data)]
-    rest_src = [w for w in complete_to_partition(sources) if w not in sources]
-    rest_dst = [w for w in complete_to_partition(targets) if w not in targets]
-    while len(rest_src) < len(rest_dst):
-        w = rest_src.pop()
-        rest_src.extend([w + "0", w + "1"])
-        rest_src.sort()
-    while len(rest_dst) < len(rest_src):
-        w = rest_dst.pop()
-        rest_dst.extend([w + "0", w + "1"])
-        rest_dst.sort()
+    rest_src, rest_dst = padded_complements(sources, targets)
     one = ctx.one()
     gamma = element(
         ctx,

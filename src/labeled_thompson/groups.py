@@ -437,7 +437,7 @@ class ProductGroup(GroupBackend):
         return f"ProductGroup({self.factors!r})"
 
 
-def symmetric_table(m: int, names: bool = True) -> FiniteTableGroup:
+def symmetric_table(m: int) -> FiniteTableGroup:
     """S_m as a Cayley table backend (identity at index 0)."""
     sym = SymmetricGroup(m)
     values = sorted(sym.element_values())
@@ -445,8 +445,8 @@ def symmetric_table(m: int, names: bool = True) -> FiniteTableGroup:
     values.insert(0, sym.identity_value())
     index = {v: i for i, v in enumerate(values)}
     table = [[index[sym.mul(a, b)] for b in values] for a in values]
-    name_map = {sym.format_element(v): i for v, i in index.items()} if names else None
-    return FiniteTableGroup(table, names=name_map)
+    names = {sym.format_element(v): i for v, i in index.items()}
+    return FiniteTableGroup(table, names=names)
 
 
 def cyclic_table(n: int) -> FiniteTableGroup:

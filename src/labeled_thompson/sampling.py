@@ -9,13 +9,10 @@ from .elements import VPhiElement
 from .groups import GroupElement
 
 
-def random_partition(
-    rng: random.Random, max_splits: int = 3, min_splits: int = 0
-) -> list[str]:
+def random_partition(rng: random.Random, max_splits: int = 3) -> list[str]:
     """Random binary-tree leaf set grown by splitting random leaves."""
     words = [""]
-    splits = rng.randint(min_splits, max_splits)
-    for _ in range(splits):
+    for _ in range(rng.randint(0, max_splits)):
         w = rng.choice(words)
         words.remove(w)
         words.extend([w + "0", w + "1"])
@@ -23,14 +20,14 @@ def random_partition(
     return words
 
 
-def random_label(ctx: Context, rng: random.Random, span: int = 3) -> GroupElement:
+def random_label(ctx: Context, rng: random.Random) -> GroupElement:
     """A random label in the context's working group."""
     order = ctx.backend.order()
     if order is not None:
         values = list(ctx.backend.element_values())
         return ctx.backend.element(rng.choice(values))
     # infinite cyclic: small exponents
-    return ctx.backend.element(rng.randint(-span, span))
+    return ctx.backend.element(rng.randint(-3, 3))
 
 
 def random_diagram(

@@ -8,7 +8,7 @@ and forests alike.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # A leaf address: (root index, binary word below that root).
 Leaf = tuple[int, str]
@@ -64,51 +64,32 @@ def is_forest_partition(leaves: Sequence[Leaf], roots: int) -> bool:
 
 
 def complete_to_partition(words: Iterable[str]) -> list[str]:
-    """Extend pairwise incomparable words to the smallest partition set.
-
-    Adds the sibling of every strict prefix path step that is not already
-    covered; the result contains the input words.
-    """
+    """Extend pairwise incomparable words to the smallest partition set: the
+    words and the siblings of their nonempty prefixes that are no prefix
+    themselves.  None of those siblings extends another word of the result,
+    since every shorter word it extends is a prefix of an input word."""
     chosen = sorted(set(words))
     if chosen == [""]:
         return [""]
     for a, b in zip(chosen, chosen[1:]):
         if b.startswith(a):
             raise ValueError(f"cones of {a!r} and {b!r} intersect")
-    needed: set[str] = set(chosen)
-    covered: set[str] = set()
-    for w in chosen:
-        for i in range(len(w)):
-            covered.add(w[: i + 1])
-    for w in chosen:
-        for i in range(len(w)):
-            sib = sibling(w[: i + 1])
-            if sib not in covered and not any(sib.startswith(c) for c in needed):
-                needed.add(sib)
-    out = sorted(needed)
+    prefixes = {w[:i] for w in chosen for i in range(1, len(w) + 1)}
+    out = sorted(set(chosen) | ({sibling(u) for u in prefixes} - prefixes))
     assert is_partition_set(out)
     return out
 
 
-def common_refinement(p: Sequence[str], q: Sequence[str]) -> list[str]:
-    """Coarsest partition set refining both p and q.
-
-    Precondition: p and q are partition sets.  They are not checked again:
-    the library passes leaves of diagrams its constructor has validated.
-    It keeps the words of p and q that are no strict prefix of another;
-    in lex order a word's extensions sort directly after it, so only its
-    successor needs checking.
-    """
-    pool = sorted(set(p) | set(q))
-    out = [w for w, nxt in zip(pool, pool[1:]) if not nxt.startswith(w)]
-    out.append(pool[-1])
-    assert is_partition_set(out)
-    return out
-
-
-def refines(fine: Sequence[str], coarse: Sequence[str]) -> bool:
-    """True when every cone of `fine` sits inside a cone of `coarse`."""
-    return all(any(w.startswith(u) for u in coarse) for w in fine)
+def padded_complements(p: Sequence[str], q: Sequence[str]) -> tuple[list[str], list[str]]:
+    """The sorted rests that complete two families of disjoint cones to
+    partition sets, both nonempty, with the last cone of the shorter rest
+    split until the two have the same size."""
+    rests = [sorted(set(complete_to_partition(f)) - set(f)) for f in (p, q)]
+    short, other = sorted(rests, key=len)
+    while len(short) < len(other):
+        # the last word of a sorted rest stays last when it is split
+        short[-1:] = [short[-1] + "0", short[-1] + "1"]
+    return rests[0], rests[1]
 
 
 def _primitive_root(period: str) -> str:
@@ -144,14 +125,9 @@ class EventuallyPeriodicWord:
             return self.prefix[i]
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
-    def letters(self) -> Iterator[str]:
-        i = 0
-        while True:
-            yield self.letter(i)
-            i += 1
-
     def head(self, n: int) -> str:
-        return "".join(self.letter(i) for i in range(n))
+        """The first n letters."""
+        return (self.prefix + self.period * (n // len(self.period) + 1))[:n]
 
     def drop(self, n: int) -> "EventuallyPeriodicWord":
         """The point obtained by removing the first n letters."""

@@ -9,6 +9,11 @@ but it shares no walk logic with the library, which is what makes it a
 useful reference.  Only the one-step moves ``simple_expand`` and
 ``simple_reduce`` are reused.
 
+``complete_to_partition`` is the word-layer completion that the library's
+set difference replaced: it scans the words chosen so far for one that
+each new sibling extends.  ``common_refinement`` and ``forest_refinement``
+are the all-pairs prefix scan, root by root.
+
 ``lsupp_approx`` is the per-cone support loop that the block walk in
 ``labeled_thompson.germs`` replaced: it reads every one of the 2^depth
 cones from its column root again, and skips nothing.
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from labeled_thompson.diagrams import ContextMismatch, LabeledDiagram
 from labeled_thompson.germs import SupportApprox, cone_data
-from labeled_thompson.words import is_partition_set
+from labeled_thompson.words import is_partition_set, sibling
 
 
 def reduction_sites(d: LabeledDiagram) -> list[int]:
@@ -34,6 +39,30 @@ def reduce(d: LabeledDiagram) -> LabeledDiagram:
             return cur
         k = max(sites, key=lambda i: len(cur.columns[i][0][1]))
         cur = cur.simple_reduce(k)
+
+
+def complete_to_partition(words) -> list[str]:
+    """Adds the sibling of every prefix step not yet covered, after
+    scanning every word chosen so far for one it extends."""
+    chosen = sorted(set(words))
+    if chosen == [""]:
+        return [""]
+    for a, b in zip(chosen, chosen[1:]):
+        if b.startswith(a):
+            raise ValueError(f"cones of {a!r} and {b!r} intersect")
+    needed: set[str] = set(chosen)
+    covered: set[str] = set()
+    for w in chosen:
+        for i in range(len(w)):
+            covered.add(w[: i + 1])
+    for w in chosen:
+        for i in range(len(w)):
+            sib = sibling(w[: i + 1])
+            if sib not in covered and not any(sib.startswith(c) for c in needed):
+                needed.add(sib)
+    out = sorted(needed)
+    assert is_partition_set(out)
+    return out
 
 
 def common_refinement(p, q) -> list[str]:

@@ -1,9 +1,10 @@
+import itertools
 import json
 import time
 
 import pytest
 
-from labeled_thompson import perfection
+from labeled_thompson import complexes, perfection
 from labeled_thompson.cli import LSUPP_MAX_CONES, main
 
 
@@ -211,6 +212,47 @@ def test_complex_size_limits(z2_file, capsys):
         assert time.perf_counter() - start < 1.0
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "more than MAX_" in err
+
+
+def test_power_past_the_column_limit(z2_file, adding_file, capsys):
+    # x^k has k + 2 columns, so this power is refused after about 2^12 of them
+    start = time.perf_counter()
+    assert main(["is-id", "-g", z2_file, "[00|0|0; 01|0|10; 1|0|11]^1000000"]) == 2
+    assert time.perf_counter() - start < 10.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: a power passes") and "MAX_POWER_COLUMNS" in err
+    # the odometer's powers stay one column wide, however large the exponent
+    argv = ["act", "-g", adding_file, "lambda(eps,t)^1099511627776", "--point", "(0)"]
+    assert main(argv + ["--depth", "45"]) == 0
+    assert capsys.readouterr().out.strip() == "0" * 40 + "1" + "0" * 4
+
+
+def test_homology_refuses_oversized_boundaries(tmp_path, capsys, monkeypatch):
+    # the maximal faces of M_12 are its 10,395 perfect matchings
+    edges = list(itertools.combinations(range(12), 2))
+    index = {e: i for i, e in enumerate(edges)}
+
+    def perfect(free):
+        if not free:
+            yield ()
+            return
+        a = free[0]
+        for i in range(1, len(free)):
+            for rest in perfect(free[1:i] + free[i + 1:]):
+                yield (index[a, free[i]],) + rest
+
+    path = tmp_path / "m12.json"
+    maximal = [list(m) for m in perfect(tuple(range(12)))]
+    path.write_text(json.dumps({"vertices": [str(e) for e in edges], "maximal": maximal}))
+
+    def no_matrix(self, k):
+        raise AssertionError("a boundary matrix was built")
+
+    monkeypatch.setattr(complexes.SimplicialComplex, "boundary_matrix", no_matrix)
+    assert main(["homology", str(path), "--up-to", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: d_3 would have 720,373,500 dense cells")
 
 
 def test_matching_ten_round_trip(tmp_path, capsys):

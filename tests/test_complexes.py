@@ -496,6 +496,25 @@ def test_matching_size_limit(monkeypatch):
     assert C._matching_count(14, 1, math.inf) == 2_390_479 <= C.MAX_MATCHING_SIMPLICES
 
 
+def test_homology_boundary_limit(monkeypatch):
+    # d_k is f_(k-1) x f_k; d_2 of M_12 (1,485 x 13,860) is admitted and its
+    # d_3 (13,860 x 51,975, 5.8 GB as int64) is not
+    assert 1485 * 13860 <= C.MAX_BOUNDARY_CELLS < 13860 * 51975
+    cx = C.matching_complex(10)  # f = (45, 630, 3150, 4725, 945)
+    monkeypatch.setattr(C, "MAX_BOUNDARY_CELLS", 630 * 3150)
+    assert C.homology(cx, 1).is_trivial_through(1)
+
+    def no_matrix(self, k):
+        raise AssertionError("a boundary matrix was built")
+
+    monkeypatch.setattr(C.SimplicialComplex, "boundary_matrix", no_matrix)
+    monkeypatch.setattr(C, "MAX_BOUNDARY_CELLS", 630 * 3150 - 1)
+    with pytest.raises(ValueError, match="d_2 would have 1,984,500 dense cells"):
+        C.homology(cx, 1)
+    with pytest.raises(ValueError, match="d_2 would have"):
+        C.homology(cx, 3)
+
+
 def test_matching_count_stops_past_the_limit():
     # the partial sums grow with n, so the first one past the limit suffices
     for weight, stop in ((1, 100), (4, 1000), (2, 26_784)):

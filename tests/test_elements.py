@@ -36,6 +36,21 @@ def test_context_mismatch(z2_diag, s3_diag):
         E.identity(z2_diag) * E.identity(s3_diag)
 
 
+def test_power_column_limit(z2_diag, z_adding, monkeypatch):
+    # x^k has k + 2 columns; x^8 is built from x^2, x^4 and x^8 only, with
+    # no squaring past the last bit
+    x = E.element(z2_diag, ["00", "01", "1"], [z2_diag.one()] * 3, ["0", "10", "11"])
+    monkeypatch.setattr(E, "MAX_POWER_COLUMNS", 10)
+    assert len((x ** 8).diagram.columns) == 10
+    assert x ** -8 == ~(x ** 8)
+    for k in (9, 16, 1 << 40, -(1 << 40)):
+        with pytest.raises(ValueError, match="MAX_POWER_COLUMNS"):
+            x ** k
+    # an element whose powers stay small is not limited by the exponent
+    t = E.element(z_adding, [""], [z_adding.source_backend.element(1)], [""])
+    assert (t ** (1 << 40)).act_word(OMEGA0, 45) == lsb_word(1 << 40, 45)
+
+
 def test_odometer_square(z_adding):
     t = E.element(z_adding, [""], [z_adding.source_backend.element(1)], [""])
     t2 = t * t

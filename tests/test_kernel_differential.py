@@ -20,13 +20,14 @@ from labeled_thompson.diagrams import (
     Context,
     LabeledDiagram,
     compose,
+    forest_refinement,
     invert,
     tree_diagram,
 )
 from labeled_thompson.elements import GroupoidElement, VPhiElement, forest_element
 from labeled_thompson.groups import CyclicGroup, WreathRecursion, symmetric_table
 from labeled_thompson.sampling import random_diagram, random_label, random_partition
-from labeled_thompson.words import common_refinement
+from labeled_thompson.words import complete_to_partition
 
 CHECKS = settings(
     max_examples=12,
@@ -125,9 +126,34 @@ def test_forest_kernel_matches_oracle(m, n, p, data):
 @CHECKS
 @given(st.randoms(use_true_random=False))
 def test_common_refinement_matches_oracle(rng):
-    p = random_partition(rng, max_splits=40)
-    q = random_partition(rng, max_splits=40)
-    assert common_refinement(p, q) == oracle.common_refinement(p, q)
+    p = [(0, w) for w in random_partition(rng, max_splits=40)]
+    q = [(0, w) for w in random_partition(rng, max_splits=40)]
+    assert forest_refinement(p, q) == oracle.forest_refinement(p, q, 1)
+    roots = rng.randint(2, 5)
+    p = [(r, w) for r in range(roots) for w in random_partition(rng, max_splits=12)]
+    q = [(r, w) for r in range(roots) for w in random_partition(rng, max_splits=12)]
+    assert forest_refinement(p, q) == oracle.forest_refinement(p, q, roots)
+
+
+def _outcome(f, words):
+    try:
+        return f(words)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+@CHECKS
+@given(st.randoms(use_true_random=False))
+def test_complete_to_partition_matches_oracle(rng):
+    for _ in range(50):
+        part = random_partition(rng, max_splits=20)
+        family = rng.sample(part, rng.randint(0, len(part)))
+        if family and rng.random() < 0.2:
+            # an extension of a chosen word makes the family comparable
+            family.append(rng.choice(family) + rng.choice(["0", "1", "01"]))
+        assert _outcome(complete_to_partition, family) == _outcome(
+            oracle.complete_to_partition, family
+        )
 
 
 def _assert_inverse_reduced(x, cls):

@@ -9,7 +9,9 @@ from labeled_thompson.sampling import random_element, random_partition
 
 def random_trivial_first(ctx, rng, max_splits=3):
     """Random [T, (1, g2, ..., gn), id, T] input for the witness."""
-    dom = random_partition(rng, max_splits, min_splits=1)
+    dom = [""]
+    while len(dom) == 1:  # at least one split
+        dom = random_partition(rng, max_splits)
     values = list(ctx.backend.element_values())
     labels = [ctx.one()] + [
         ctx.backend.element(rng.choice(values)) for _ in dom[1:]

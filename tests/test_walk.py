@@ -14,16 +14,11 @@ from pathlib import Path
 import pytest
 
 from labeled_thompson import germs
-from labeled_thompson.diagrams import Context
+from labeled_thompson.diagrams import Context, forest_refinement
 from labeled_thompson.elements import element
 from labeled_thompson.groups import CyclicGroup, WreathRecursion, symmetric_table
 from labeled_thompson.sampling import random_element
-from labeled_thompson.words import (
-    OMEGA0,
-    EventuallyPeriodicWord,
-    common_refinement,
-    complete_to_partition,
-)
+from labeled_thompson.words import OMEGA0, EventuallyPeriodicWord, complete_to_partition
 
 
 def _context(backend, rule, **kw):
@@ -60,8 +55,8 @@ def test_cone_data_matches_expansion(ctx):
                 with pytest.raises(germs.LabelUndefined):
                     germs.label_at(a, u)
                 continue
-            part = common_refinement(dom, complete_to_partition([u]))
-            expanded = a.diagram.expand_to([(0, w) for w in part])
+            cone = [(0, w) for w in complete_to_partition([u])]
+            expanded = a.diagram.expand_to(forest_refinement(a.diagram.domain(), cone))
             [(g, (_, v))] = [(g, r) for (_, d), g, r in expanded.columns if d == u]
             assert germs.cone_data(a, u) == (g, v)
             assert germs.label_at(a, u) == g

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+from labeled_thompson.diagrams import forest_refinement
 from labeled_thompson.words import (
     EventuallyPeriodicWord,
     OMEGA0,
     _cone_excess,
-    common_refinement,
     complete_to_partition,
+    is_forest_partition,
     is_partition_set,
+    padded_complements,
     sibling,
 )
 
@@ -35,31 +37,45 @@ def test_cone_excess_is_exact():
     assert _cone_excess([""]) == 0
 
 
+def _tree(words):
+    return [(0, w) for w in words]
+
+
 def test_common_refinement_examples():
-    assert common_refinement([""], ["0", "10", "11"]) == ["0", "10", "11"]
-    assert common_refinement(["0", "1"], ["00", "01", "1"]) == ["00", "01", "1"]
-    assert common_refinement(["0", "10", "11"], ["00", "01", "1"]) == [
-        "00",
-        "01",
-        "10",
-        "11",
-    ]
+    assert forest_refinement(_tree([""]), _tree(["0", "10", "11"])) == _tree(
+        ["0", "10", "11"]
+    )
+    assert forest_refinement(_tree(["0", "1"]), _tree(["00", "01", "1"])) == _tree(
+        ["00", "01", "1"]
+    )
+    assert forest_refinement(_tree(["0", "10", "11"]), _tree(["00", "01", "1"])) == _tree(
+        ["00", "01", "10", "11"]
+    )
+    # a bare root (0, "") sorts directly before the leaves of root 1, whose
+    # words all extend the empty word; it stays, since they are another root's
+    p = [(0, ""), (1, "0"), (1, "1")]
+    q = [(0, ""), (1, "")]
+    assert forest_refinement(p, q) == [(0, ""), (1, "0"), (1, "1")]
+    p = [(0, "0"), (0, "1"), (1, "")]
+    q = [(0, ""), (1, "0"), (1, "10"), (1, "11")]
+    assert forest_refinement(p, q) == [(0, "0"), (0, "1"), (1, "0"), (1, "10"), (1, "11")]
 
 
 def test_common_refinement_is_coarsest():
     rng = random.Random(5)
     for _ in range(100):
-        p = _random_partition(rng)
-        q = _random_partition(rng)
-        r = common_refinement(p, q)
-        assert is_partition_set(r)
+        roots = rng.randint(1, 3)
+        p = [(r, w) for r in range(roots) for w in _random_partition(rng)]
+        q = [(r, w) for r in range(roots) for w in _random_partition(rng)]
+        out = forest_refinement(p, q)
+        assert is_forest_partition(out, roots)
         # refines both
-        for w in r:
-            assert any(w.startswith(u) for u in p)
-            assert any(w.startswith(u) for u in q)
-        # coarsest: every word is demanded by one of the inputs
-        for w in r:
-            assert w in p or w in q
+        for r, w in out:
+            assert any(s == r and w.startswith(u) for s, u in p)
+            assert any(s == r and w.startswith(u) for s, u in q)
+        # coarsest: every leaf is demanded by one of the inputs
+        for leaf in out:
+            assert leaf in p or leaf in q
 
 
 def _random_partition(rng, max_splits=4):
@@ -77,6 +93,28 @@ def test_complete_to_partition():
     assert complete_to_partition(["00", "1"]) == ["00", "01", "1"]
     with pytest.raises(ValueError):
         complete_to_partition(["0", "01"])
+
+
+def test_padded_complements():
+    assert padded_complements(["0"], ["01"]) == (["10", "11"], ["00", "1"])
+    assert padded_complements(["00", "1"], ["0"]) == (["01"], ["1"])
+    # the last cone of the shorter rest is split, as the witnesses always did
+    assert padded_complements(["00"], ["000"]) == (["01", "10", "11"], ["001", "01", "1"])
+    rng = random.Random(6)
+    for _ in range(200):
+        families = []
+        for _ in range(2):
+            part = _random_partition(rng, max_splits=6)
+            if len(part) < 2:
+                part = ["0", "1"]
+            families.append(rng.sample(part, rng.randint(1, len(part) - 1)))
+        p, q = families
+        rest_p, rest_q = padded_complements(p, q)
+        assert len(rest_p) == len(rest_q)
+        for family, rest in ((p, rest_p), (q, rest_q)):
+            assert rest == sorted(rest)
+            assert not set(rest) & set(family)
+            assert is_partition_set(list(family) + rest)
 
 
 def test_sibling():
@@ -103,6 +141,16 @@ def test_eventually_periodic_drop_and_parse():
     assert EventuallyPeriodicWord.parse("(0)") == OMEGA0
     assert EventuallyPeriodicWord.parse("101") == EventuallyPeriodicWord("101", "0")
     assert w.prepend("1").head(4) == "1011"
+
+
+def test_head_matches_letter():
+    rng = random.Random(8)
+    for _ in range(200):
+        pre = "".join(rng.choice("01") for _ in range(rng.randrange(6)))
+        per = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+        w = EventuallyPeriodicWord(pre, per)
+        n = rng.randrange(20)
+        assert w.head(n) == "".join(w.letter(i) for i in range(n))
 
 
 def test_drop_matches_letters():
