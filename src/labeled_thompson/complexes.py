@@ -34,9 +34,8 @@ from .elements import GroupoidElement
 # M_15 and Z/2 diagonal n=9 (328,752 classes) are refused
 MAX_MATCHING_SIMPLICES = 1 << 22
 MAX_DLINK_CLASSES = 1 << 16
-# dense int64 cells of one boundary matrix that `homology` builds: d_2 of
-# M_12 (20,582,100, 165 MB) is admitted, d_3 of M_12 (720,373,500, 5.8 GB)
-# refused
+# dense one-byte cells of one boundary matrix that `homology` builds: d_2
+# of M_12 (20,582,100) is admitted, d_3 of M_12 (720,373,500) refused
 MAX_BOUNDARY_CELLS = 1 << 25
 
 
@@ -44,12 +43,14 @@ class SimplicialComplex:
     """Vertex-keyed finite complex, closed under faces.
 
     Simplex entries must be vertex indices: ints in range(len(vertices)).
+    One face pass, from the top dimension down, closes the input and finds
+    the maximal faces: each level takes in the codimension-1 faces of the
+    level above, and its simplices that are none of them are maximal.
     """
 
     def __init__(self, vertices: Sequence, simplices: Iterable[tuple[int, ...]]):
         self.vertices = list(vertices)
         nv = len(self.vertices)
-        closed: set[tuple[int, ...]] = set()
         raw = [tuple(s) for s in simplices]
         entries = list(itertools.chain.from_iterable(raw))
         if entries and (
@@ -57,55 +58,48 @@ class SimplicialComplex:
         ):
             bad = next(v for v in entries if type(v) is not int or not 0 <= v < nv)
             raise ValueError(f"simplex entry {bad!r} is not a vertex index")
-        stack = [tuple(sorted(s)) for s in raw]
-        for s in stack:
+        del entries  # a flat copy of the input, not needed past the check
+        # a sorted input tuple is kept, not copied: big inputs come sorted
+        given = [s if list(s) == sorted(s) else tuple(sorted(s)) for s in raw]
+        for s in given:
             if len(set(s)) != len(s):
                 raise ValueError(f"degenerate simplex {s}")
-        while stack:
-            s = stack.pop()
-            if s in closed or not s:
-                continue
-            closed.add(s)
-            if len(s) > 1:
-                for i in range(len(s)):
-                    stack.append(s[:i] + s[i + 1:])
-        for v in range(nv):
-            closed.add((v,))
-        self.simplices = closed
-        self._by_dim: list[list[tuple[int, ...]]] | None = None
-
-    def _index(self) -> list[list[tuple[int, ...]]]:
-        """Sorted k-simplices for k = 0..dimension, built on first use."""
-        if self._by_dim is None:
-            top = max(map(len, self.simplices), default=0)
-            by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(top)]
-            for s in self.simplices:
-                by_dim[len(s) - 1].append(s)
-            for faces in by_dim:
-                faces.sort()
-            self._by_dim = by_dim
-        return self._by_dim
+        # level k maps each simplex on k + 1 vertices to whether it is a face
+        # of one on k + 2; every vertex is a simplex
+        levels: list = [dict.fromkeys([(v,) for v in range(nv)], False)] if nv else []
+        levels += [{} for _ in range(len(levels), max(map(len, given), default=0))]
+        for s in filter(None, given):
+            levels[len(s) - 1][s] = False
+        self.simplices: set[tuple[int, ...]] = set()
+        maximal: list[tuple[int, ...]] = []
+        for k in reversed(range(len(levels))):
+            level = levels[k]
+            if k:  # update keeps a face already stored and drops the new copy
+                faces = (f for s in level for f in itertools.combinations(s, k))
+                levels[k - 1].update(zip(faces, itertools.repeat(True)))
+            maximal.extend(s for s, covered in level.items() if not covered)
+            self.simplices.update(level)
+            levels[k] = list(level)  # the dict goes once its level is done
+        self._maximal = sorted(maximal)
+        self._by_dim: list[list[tuple[int, ...]]] = levels
 
     def dimension(self) -> int:
-        return len(self._index()) - 1
+        return len(self._by_dim) - 1
 
     def k_simplices(self, k: int) -> list[tuple[int, ...]]:
-        by_dim = self._index()
-        return list(by_dim[k]) if 0 <= k < len(by_dim) else []
+        """The k-simplices in sorted order, as a fresh list."""
+        if not 0 <= k < len(self._by_dim):
+            return []
+        # sorted in place on first use; sorting again is one linear pass
+        self._by_dim[k].sort()
+        return list(self._by_dim[k])
 
     def f_vector(self) -> list[int]:
-        return [len(faces) for faces in self._index()]
+        return [len(level) for level in self._by_dim]
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
-        """The simplices that are no codimension-1 face of another; in a
-        complex closed under faces these are exactly the maximal ones."""
-        covered = {
-            s[:i] + s[i + 1:]
-            for s in self.simplices
-            if len(s) > 1
-            for i in range(len(s))
-        }
-        return sorted(s for s in self.simplices if s not in covered)
+        """The simplices that are no face of another, in sorted order."""
+        return list(self._maximal)
 
     def connected_components(self) -> int:
         """Component count by union-find; independent of the chain complex."""
@@ -124,13 +118,14 @@ class SimplicialComplex:
         return len({find(v) for v in range(len(self.vertices))})
 
     def boundary_matrix(self, k: int) -> np.ndarray:
-        """Integer matrix of the boundary map C_k -> C_{k-1}; k = 0 gives
-        the augmentation onto the empty simplex (reduced homology)."""
+        """Integer matrix of the boundary map C_k -> C_{k-1}, in int8 since
+        every entry is 0 or +-1; k = 0 gives the augmentation onto the
+        empty simplex (reduced homology)."""
         cols = self.k_simplices(k)
         if k == 0:
-            return np.ones((1, len(cols)), dtype=np.int64)
+            return np.ones((1, len(cols)), dtype=np.int8)
         rows = {s: i for i, s in enumerate(self.k_simplices(k - 1))}
-        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        mat = np.zeros((len(rows), len(cols)), dtype=np.int8)
         for j, s in enumerate(cols):
             for i in range(len(s)):
                 face = s[:i] + s[i + 1:]
@@ -337,8 +332,7 @@ def homology(cx: SimplicialComplex, up_to: int) -> HomologyResult:
         divisors[k] = smith_diagonal(cx.boundary_matrix(k))
         ranks[k] = len(divisors[k])
     for k in range(up_to + 1):
-        n_k = len(cx.k_simplices(k))
-        kernel = n_k - ranks[k]
+        kernel = f[k + 1] - ranks[k]
         betti[k] = kernel - ranks[k + 1]
         torsion[k] = tuple(d for d in divisors[k + 1] if d > 1)
         if betti[k] < 0:

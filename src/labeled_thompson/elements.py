@@ -10,10 +10,12 @@ right action: (w)(a * b) = ((w)a)b on the Cantor set.
 
 from __future__ import annotations
 
+import bisect
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import diagrams
-from .diagrams import Context, LabeledDiagram
+from .diagrams import Column, Context, LabeledDiagram
 from .groups import GroupElement
 from .words import OMEGA0, EventuallyPeriodicWord, Leaf, padded_complements
 
@@ -143,12 +145,21 @@ class VPhiElement(GroupoidElement):
 
     # -- the Cantor action ------------------------------------------------
 
+    def _column(self, w: str) -> Optional[Column]:
+        """The column whose domain cone holds every extension of w, or None
+        when w is shorter than its column: the one of the greatest domain
+        word d <= w (they are sorted and incomparable) if d is a prefix of w."""
+        cols = self.diagram.columns
+        i = bisect.bisect_right(cols, (0, w), key=itemgetter(0))
+        if i and w.startswith(cols[i - 1][0][1]):
+            return cols[i - 1]
+        return None
+
     def _locate(self, point: EventuallyPeriodicWord) -> tuple[str, GroupElement, str]:
         """Domain column (u, g, v) whose cone contains the point."""
-        for (_, u), g, (_, v) in self.diagram.columns:
-            if point.head(len(u)) == u:
-                return u, g, v
-        raise AssertionError("partition sets cover every point")
+        # a partition set of k words is at most k - 1 letters deep
+        (_, u), g, (_, v) = self._column(point.head(len(self.diagram.columns)))
+        return u, g, v
 
     def act_word(self, point: EventuallyPeriodicWord, depth: int) -> str:
         """First `depth` letters of the image of the point."""

@@ -35,11 +35,12 @@ def label_at(a: VPhiElement, u: str) -> GroupElement:
 def cone_data(a: VPhiElement, u: str) -> tuple[GroupElement, str]:
     """(label, image word) of the cone of u: a maps u-cone onto the image
     cone through the tree action of the label."""
-    for (_, d), g, (_, v) in a.diagram.columns:
-        if u.startswith(d):
-            image, label = a.context.recursion.walk(g, u[len(d):])
-            return label, v + image
-    raise LabelUndefined(f"label undefined at this interval: {u!r}")
+    col = a._column(u)
+    if col is None:
+        raise LabelUndefined(f"label undefined at this interval: {u!r}")
+    (_, d), g, (_, v) = col
+    image, label = a.context.recursion.walk(g, u[len(d):])
+    return label, v + image
 
 
 @dataclass(frozen=True)

@@ -38,13 +38,6 @@ class SplinterPoint:
     def __repr__(self):
         return f"({self.x}, {self.w!r})"
 
-    def to_json(self) -> dict:
-        return {"x": self.x, "w": self.w}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SplinterPoint":
-        return cls(int(data["x"]), str(data["w"]))
-
 
 class GSet:
     """A finite right G-set, validated to be an action and faithful."""

@@ -1,9 +1,13 @@
 """Reference routines for differential tests of ``labeled_thompson.complexes``.
 
-``maximal_simplices`` is the all-pairs scan that the face-marking pass of
-``SimplicialComplex.maximal_simplices`` replaced: a simplex is maximal when
-no simplex one dimension up contains it.  Quadratic in the number of
-simplices, and it shares nothing with the library's pass.
+``maximal_simplices`` is an all-pairs scan: a simplex is maximal when no
+simplex one dimension up contains it.  Quadratic in the number of
+simplices, and it shares nothing with the top-down face sweep in which
+``SimplicialComplex`` finds its maximal faces.
+
+``closure`` lists every nonempty subset of every input simplex, by bit
+mask, and every vertex: the closure under faces without the top-down sweep
+of ``SimplicialComplex``.
 
 ``dense_smith`` is the dense-only Smith route that ``smith_diagonal`` used
 before sparse unit elimination: the whole matrix goes through
@@ -44,6 +48,17 @@ def maximal_simplices(cx: SimplicialComplex) -> list[tuple[int, ...]]:
         if not any(len(t) == len(s) + 1 and sset < set(t) for t in cx.simplices):
             out.append(s)
     return sorted(out)
+
+
+def closure(nv: int, simplices) -> set[tuple[int, ...]]:
+    out = {(v,) for v in range(nv)}
+    for s in simplices:
+        s = sorted(s)
+        out.update(
+            tuple(v for i, v in enumerate(s) if mask >> i & 1)
+            for mask in range(1, 1 << len(s))
+        )
+    return out
 
 
 def dense_smith(mat: np.ndarray) -> list[int]:

@@ -14,6 +14,10 @@ set difference replaced: it scans the words chosen so far for one that
 each new sibling extends.  ``common_refinement`` and ``forest_refinement``
 are the all-pairs prefix scan, root by root.
 
+``column_at`` and ``locate`` are the linear column scans that the
+bisection of ``VPhiElement._column`` replaced: the first column whose
+domain word is a prefix of the word, or of the point.
+
 ``lsupp_approx`` is the per-cone support loop that the block walk in
 ``labeled_thompson.germs`` replaced: it reads every one of the 2^depth
 cones from its column root again, and skips nothing.
@@ -114,6 +118,23 @@ def compose(a: LabeledDiagram, b: LabeledDiagram) -> LabeledDiagram:
         h, w = bcols[r]
         cols.append((d, g * h, w))
     return reduce(LabeledDiagram(a.context, cols, a.m_roots, b.n_roots))
+
+
+def column_at(a, w: str):
+    """The column whose domain word is a prefix of w, or None."""
+    for col in a.diagram.columns:
+        if w.startswith(col[0][1]):
+            return col
+    return None
+
+
+def locate(a, point):
+    """The column whose domain word is a prefix of the point."""
+    for col in a.diagram.columns:
+        u = col[0][1]
+        if point.head(len(u)) == u:
+            return col
+    raise AssertionError("partition sets cover every point")
 
 
 def lsupp_approx(a, depth: int) -> SupportApprox:

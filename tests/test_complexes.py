@@ -129,21 +129,72 @@ def test_simplicial_complex_closure():
     assert cx.f_vector() == [3, 3, 1]
 
 
-def _random_complex(rng) -> C.SimplicialComplex:
+def _random_input(rng) -> tuple[int, list[tuple[int, ...]]]:
     n = rng.randint(1, 8)
-    maximal = [
+    simplices = [
         tuple(rng.sample(range(n), rng.randint(1, min(n, 5))))
         for _ in range(rng.randint(0, 8))
     ]
-    return C.SimplicialComplex(list(range(n)), maximal)
+    return n, simplices
+
+
+def _random_complex(rng) -> C.SimplicialComplex:
+    n, simplices = _random_input(rng)
+    return C.SimplicialComplex(list(range(n)), simplices)
+
+
+EDGE_INPUTS = [
+    (0, []),  # the empty complex: dimension -1, f-vector []
+    (0, [()]),
+    (3, []),  # vertices only
+    (4, [(0, 1, 2), (1, 2), (2,), (2, 3)]),  # faces of other inputs
+    (4, [(2, 0, 1), (1, 2, 0), (0, 1, 2), (3, 1), (1, 3)]),  # repeats
+    (7, [(0, 1), (5,), (2, 3, 4)]),  # isolated vertices 5 and 6
+]
 
 
 def test_maximal_simplices_match_oracle(rng):
-    for _ in range(60):
-        cx = _random_complex(rng)
+    inputs = EDGE_INPUTS + [_random_input(rng) for _ in range(60)]
+    for n, simplices in inputs:
+        want = oracle.closure(n, simplices)
+        cx = C.SimplicialComplex(list(range(n)), simplices)
+        assert cx.simplices == want
+        assert cx.dimension() == max(map(len, want), default=0) - 1
+        assert cx.f_vector() == [
+            sum(len(s) == k + 1 for s in want) for k in range(cx.dimension() + 1)
+        ]
         assert cx.maximal_simplices() == oracle.maximal_simplices(cx)
+        # JSON that lists the input as given, neither sorted nor closed
+        data = {"vertices": list(range(n)), "maximal": [list(s) for s in simplices]}
+        assert C.SimplicialComplex.from_json(data).simplices == want
         back = C.SimplicialComplex.from_json(cx.to_json())
-        assert back.simplices == cx.simplices
+        assert back.simplices == want
+        assert back.maximal_simplices() == cx.maximal_simplices()
+
+
+def _largest_matchings(points: tuple) -> list[frozenset]:
+    """Every matching of the points with len(points) // 2 edges, by pairing
+    off the least point or, for an odd count, leaving it out."""
+    if len(points) < 2:
+        return [frozenset()]
+    a, rest = points[0], points[1:]
+    out = [
+        m | {(a, b)}
+        for b in rest
+        for m in _largest_matchings(tuple(p for p in rest if p != b))
+    ]
+    if len(points) % 2:
+        out += _largest_matchings(rest)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_matching_complex_maximal_simplices(n):
+    cx = C.matching_complex(n)
+    got = [frozenset(cx.vertices[v] for v in s) for s in cx.maximal_simplices()]
+    want = _largest_matchings(tuple(range(1, n + 1)))
+    assert len(got) == len(set(got)) == len(want) == _matchings(n, n // 2)
+    assert set(got) == set(want)
 
 
 def test_simplex_index_matches_simplex_set(rng):
@@ -271,6 +322,7 @@ def test_matching_connectivity_window():
 def _assert_boundaries_match_dense(cx: C.SimplicialComplex):
     for k in range(cx.dimension() + 2):
         mat = cx.boundary_matrix(k)
+        assert mat.dtype == np.int8  # entries are 0 and +-1
         assert C.smith_diagonal(mat) == oracle.dense_smith(mat), k
 
 
@@ -498,7 +550,7 @@ def test_matching_size_limit(monkeypatch):
 
 def test_homology_boundary_limit(monkeypatch):
     # d_k is f_(k-1) x f_k; d_2 of M_12 (1,485 x 13,860) is admitted and its
-    # d_3 (13,860 x 51,975, 5.8 GB as int64) is not
+    # d_3 (13,860 x 51,975, 720 MB as int8) is not
     assert 1485 * 13860 <= C.MAX_BOUNDARY_CELLS < 13860 * 51975
     cx = C.matching_complex(10)  # f = (45, 630, 3150, 4725, 945)
     monkeypatch.setattr(C, "MAX_BOUNDARY_CELLS", 630 * 3150)

@@ -1,6 +1,7 @@
 """Differential tests: the one-pass diagram kernel against the rescanning
-reference in diagram_oracle, and the unchecked results of the one-step
-moves and of `compose` against the validating `LabeledDiagram` constructor.
+reference in diagram_oracle, the column search of the Cantor action against
+a linear scan, and the unchecked results of the one-step moves and of
+`compose` against the validating `LabeledDiagram` constructor.
 
 Diagrams are random small diagrams expanded at random columns to 16-128
 leaves, with a few labels then changed so that only part of the expansion
@@ -8,6 +9,7 @@ merges back; forest diagrams have m != n roots.
 """
 
 import json
+import random
 
 import diagram_oracle as oracle
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_walk import package_calls
 
-from labeled_thompson import serialize
+from labeled_thompson import germs, serialize
 from labeled_thompson.diagrams import (
     Context,
     LabeledDiagram,
@@ -24,10 +26,15 @@ from labeled_thompson.diagrams import (
     invert,
     tree_diagram,
 )
-from labeled_thompson.elements import GroupoidElement, VPhiElement, forest_element
+from labeled_thompson.elements import (
+    GroupoidElement,
+    VPhiElement,
+    element,
+    forest_element,
+)
 from labeled_thompson.groups import CyclicGroup, WreathRecursion, symmetric_table
 from labeled_thompson.sampling import random_diagram, random_label, random_partition
-from labeled_thompson.words import complete_to_partition
+from labeled_thompson.words import EventuallyPeriodicWord, complete_to_partition
 
 CHECKS = settings(
     max_examples=12,
@@ -154,6 +161,50 @@ def test_complete_to_partition_matches_oracle(rng):
         assert _outcome(complete_to_partition, family) == _outcome(
             oracle.complete_to_partition, family
         )
+
+
+def _partition_of_size(rng, leaves):
+    words = [""]
+    while len(words) < leaves:
+        w = words.pop(rng.randrange(len(words)))
+        words += [w + "0", w + "1"]
+    return sorted(words)
+
+
+def _bits(rng, most):
+    return "".join(rng.choice("01") for _ in range(rng.randint(0, most)))
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=CONTEXT_IDS)
+def test_column_search_matches_scan(ctx):
+    """The bisection over domain words finds the column a linear scan finds,
+    for words (None when the word is shorter than its column) and points."""
+    rng = random.Random(41)
+    sizes = []
+    for leaves in (1, 2, 3, 8, 60, 400, 1024):
+        dom = _partition_of_size(rng, leaves)
+        ran = _partition_of_size(rng, leaves)
+        rng.shuffle(ran)
+        a = element(ctx, dom, [random_label(ctx, rng) for _ in dom], ran)
+        sizes.append(len(a.diagram.columns))
+        words = [u for (_, u), _, _ in a.diagram.columns]
+        for _ in range(150):
+            u = rng.choice(words)
+            # a prefix of a domain word, extended by a few random letters
+            w = u[: rng.randint(0, len(u))] + _bits(rng, 3)
+            col = oracle.column_at(a, w)
+            assert a._column(w) == col
+            if col is None:
+                with pytest.raises(germs.LabelUndefined):
+                    germs.cone_data(a, w)
+            else:
+                (_, d), g, (_, v) = col
+                image, label = ctx.recursion.walk(g, w[len(d):])
+                assert germs.cone_data(a, w) == (label, v + image)
+            point = EventuallyPeriodicWord(w, rng.choice("01") + _bits(rng, 2))
+            (_, d), g, (_, v) = oracle.locate(a, point)
+            assert a._locate(point) == (d, g, v)
+    assert max(sizes) > 512
 
 
 def _assert_inverse_reduced(x, cls):
