@@ -5,7 +5,9 @@ element a acts first, so points satisfy (w)(a*b) = ((w)a)b.  Exit codes:
 0 success, 1 a verification answered false, 2 usage errors, 3 an internal
 consistency check failed (a bug, never a false answer).  `lsupp` counts
 the cones of a support before it builds them and refuses, with exit 2,
-supports of more than LSUPP_MAX_CONES = 2^16 cones; `complex` likewise
+supports of more than LSUPP_MAX_CONES = 2^16 cones, and `act` and
+`splinter-check` refuse depths past MAX_WORD_DEPTH = 2^12 before any work,
+since both take time linear in the depth; `complex` likewise
 refuses complexes past the size limits of `complexes`, counted exactly,
 `homology` boundary matrices past MAX_BOUNDARY_CELLS, and an expression
 power any product past MAX_POWER_COLUMNS columns.
@@ -24,6 +26,7 @@ from .sampling import random_element
 from .words import EventuallyPeriodicWord
 
 LSUPP_MAX_CONES = 1 << 16
+MAX_WORD_DEPTH = 1 << 12
 
 EPILOG = (
     "Expressions compose left to right as right actions: (w)(a*b) = ((w)a)b. "
@@ -37,6 +40,11 @@ def _count(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
+
+
+def _check_word_depth(depth: int) -> None:
+    if depth > MAX_WORD_DEPTH:
+        raise ValueError(f"--depth {depth} is more than MAX_WORD_DEPTH = {MAX_WORD_DEPTH}")
 
 
 def _emit(args, data: dict, text: str) -> None:
@@ -85,6 +93,7 @@ def cmd_is_id(args):
 
 
 def cmd_act(args):
+    _check_word_depth(args.depth)
     ctx = serialize.load_context(args.group)
     x = parse_expression(args.expr, ctx)
     point = EventuallyPeriodicWord.parse(args.point)
@@ -150,6 +159,7 @@ def cmd_witness(args):
 
 
 def cmd_splinter_check(args):
+    _check_word_depth(args.depth)
     ctx = serialize.load_context(args.group)
     rng = random.Random(args.seed)
     gset = splinter.GSet.regular(ctx.backend)

@@ -11,7 +11,10 @@ label groups the walk's state space is finite, so answers are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Set
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .elements import VPhiElement, commutator, element
@@ -43,21 +46,77 @@ def cone_data(a: VPhiElement, u: str) -> tuple[GroupElement, str]:
     return label, v + image
 
 
+class ConeSet(Set):
+    """Read-only set of the depth-`depth` cones under disjoint blocks.
+
+    A block is a cone of length at most `depth` standing for its 2^r
+    descendants at that depth (r = depth - its length); no cone is built
+    until asked for.  Equal to, and hashed like, the frozenset of those
+    cones; `&`, `|` and `-` return frozensets.  Iteration is in lex order.
+    """
+
+    def __init__(self, depth: int, blocks):
+        self.depth = depth
+        self.cones = sorted(cone for cone, _ in blocks)
+
+    def __len__(self):
+        return sum(1 << (self.depth - len(cone)) for cone in self.cones)
+
+    def __contains__(self, word):
+        if not isinstance(word, str) or len(word) != self.depth or word.strip("01"):
+            return False
+        # the block holding a word is the last one sorting at or before it
+        i = bisect_right(self.cones, word)
+        return i > 0 and word.startswith(self.cones[i - 1])
+
+    def __iter__(self):
+        # blocks are sorted and none is a prefix of another, so each
+        # block's cones follow one another in lex order
+        suffixes = [[""]]
+        top = max((self.depth - len(cone) for cone in self.cones), default=0)
+        for _ in range(top):
+            suffixes.append([s + bit for s in suffixes[-1] for bit in "01"])
+        return chain.from_iterable(
+            map(cone.__add__, suffixes[self.depth - len(cone)]) for cone in self.cones
+        )
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __repr__(self):
+        return f"ConeSet(depth={self.depth}, blocks={len(self.cones)})"
+
+
 @dataclass(frozen=True)
 class SupportApprox:
     """Depth-d certificate: cones outside `included` are provably outside
     the labeled support."""
 
     depth: int
-    included: frozenset[str]
+    included: ConeSet
 
     def disjoint(self, other: "SupportApprox") -> bool:
+        """No common cone, decided on the blocks: two cones of one depth
+        overlap exactly when one is a prefix of the other."""
         if self.depth != other.depth:
             raise ValueError("compare approximations at equal depth")
-        return not (self.included & other.included)
+        mine, theirs = self.included.cones, other.included.cones
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            u, v = mine[i], theirs[j]
+            if u.startswith(v) or v.startswith(u):
+                return False
+            if u < v:
+                i += 1
+            else:
+                j += 1
+        return True
 
     def to_json(self) -> dict:
-        return {"depth": self.depth, "cones": sorted(self.included)}
+        return {"depth": self.depth, "cones": list(self.included)}
 
 
 def _support_blocks(a: VPhiElement, depth: int):
@@ -136,16 +195,12 @@ def lsupp_approx(a: VPhiElement, depth: int) -> SupportApprox:
     (u, g, v) with v != u no cone reads (w, 1, w).  Transducer steps happen
     only under fixed cones, and only while a trivial label may still turn
     up below them; a fixed cone whose label stays nontrivial down to depth
-    d is emitted whole too (`_support_blocks`).  Blocks are nonempty, so
-    there are no more of them than cones returned.
+    d is emitted whole too (`_support_blocks`).  The blocks are kept as
+    they are: `included` is a `ConeSet` over them, which spells out a cone
+    only when iterated, so the cost here is the block walk alone and does
+    not grow with the number of cones.
     """
-    included = []
-    for cone, r in _support_blocks(a, depth):
-        block = [cone]
-        for _ in range(r):
-            block = [w + "0" for w in block] + [w + "1" for w in block]
-        included += block
-    return SupportApprox(depth, frozenset(included))
+    return SupportApprox(depth, ConeSet(depth, _support_blocks(a, depth)))
 
 
 def lsupp_count(a: VPhiElement, depth: int, limit: Optional[int] = None) -> int:

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from labeled_thompson import complexes, perfection
-from labeled_thompson.cli import LSUPP_MAX_CONES, main
+from labeled_thompson.cli import LSUPP_MAX_CONES, MAX_WORD_DEPTH, main
 
 
 @pytest.fixture()
@@ -225,6 +225,22 @@ def test_power_past_the_column_limit(z2_file, adding_file, capsys):
     argv = ["act", "-g", adding_file, "lambda(eps,t)^1099511627776", "--point", "(0)"]
     assert main(argv + ["--depth", "45"]) == 0
     assert capsys.readouterr().out.strip() == "0" * 40 + "1" + "0" * 4
+
+
+def test_word_depth_limit(z2_file, adding_file, capsys):
+    # both commands take time linear in --depth: refused before any work
+    for argv in (
+        ["act", "-g", z2_file, "lambda(0,g)", "--point", "(0)"],
+        ["splinter-check", "-g", z2_file, "--pairs", "1", "--points", "1"],
+    ):
+        start = time.perf_counter()
+        assert main(argv + ["--depth", str(10**8)]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "MAX_WORD_DEPTH" in err
+    argv = ["act", "-g", adding_file, "lambda(eps,t)", "--point", "(0)"]
+    assert main(argv + ["--depth", str(MAX_WORD_DEPTH)]) == 0
+    assert capsys.readouterr().out.strip() == "1" + "0" * (MAX_WORD_DEPTH - 1)
 
 
 def test_homology_refuses_oversized_boundaries(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import diagram_oracle as oracle
 import pytest
@@ -166,6 +167,60 @@ def test_lsupp_count_matches_set(ctx, rng):
         limit = rng.randrange(size + 2)
         capped = G.lsupp_count(x, depth, limit)
         assert capped == size if size <= limit else capped > limit
+
+
+@pytest.mark.parametrize("ctx", LSUPP_CONTEXTS, ids=LSUPP_IDS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_cone_set_matches_frozenset_oracle(ctx, rng):
+    # the lazy view against the per-cone frozenset: order, size, hash,
+    # equality, membership, set algebra and the block-merge disjointness
+    cone = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
+    xs = lsupp_inputs(ctx, rng) + (
+        localized(ctx, rng, cone + "0"),
+        localized(ctx, rng, cone + "1"),
+        E.identity(ctx),
+    )
+    depth = rng.randint(5, 8)
+    xs = [x for x in xs if max(len(u) for (_, u), _, _ in x.diagram.columns) <= depth]
+    words = [format(i, f"0{depth}b") for i in range(1 << depth)]
+    other = frozenset(w for w in words if rng.random() < 0.5)
+    pairs = []
+    for x in xs:
+        approx = G.lsupp_approx(x, depth)
+        view, want = approx.included, oracle.lsupp_approx(x, depth).included
+        assert list(view) == sorted(want)
+        assert len(view) == len(want) and hash(view) == hash(want)
+        assert view == want and want == view
+        assert all((w in view) == (w in want) for w in words)
+        for stranger in ("0" * (depth + 1), "0" * (depth - 1), "2" * depth, 0, None):
+            assert stranger not in view
+        for got, expected in (
+            (view & other, want & other),
+            (other & view, other & want),
+            (view | other, want | other),
+            (view - other, want - other),
+            (other - view, other - want),
+        ):
+            assert type(got) is frozenset and got == expected
+        pairs.append((approx, want))
+    for sa, wa in pairs:
+        for sb, wb in pairs:
+            assert sa.disjoint(sb) == (not (wa & wb))
+
+
+def test_lsupp_approx_builds_no_cone(z2_diag):
+    g = z2_diag.source_backend.element(1)
+    a, b = E.lambda_u(z2_diag, "0", g), E.lambda_u(z2_diag, "1", g)
+    start = time.perf_counter()
+    left, right = G.lsupp_approx(a, 200), G.lsupp_approx(b, 200)
+    # len() stops at sys.maxsize, so the size is read from __len__ itself
+    assert left.included.__len__() == 1 << 199
+    assert "0" * 200 in left.included and "1" * 200 not in left.included
+    assert left.disjoint(right) and not left.disjoint(left)
+    assert G.disjoint_supports_commute(a, b, 200)
+    assert time.perf_counter() - start < 1.0
+    assert repr(left.included) == "ConeSet(depth=200, blocks=1)"
 
 
 def test_lsupp_count_builds_no_cone(z2_diag, z3_right):
