@@ -7,7 +7,9 @@ consistency check failed (a bug, never a false answer).  `lsupp` counts
 the cones of a support before it builds them and refuses, with exit 2,
 supports of more than LSUPP_MAX_CONES = 2^16 cones, and `act` and
 `splinter-check` refuse depths past MAX_WORD_DEPTH = 2^12 before any work,
-since both take time linear in the depth; `complex` likewise
+since both take time linear in the depth.  `splinter-check` also refuses,
+before it loads the group, a product --pairs x --points x --depth past
+MAX_SPLINTER_WORK = 2^23, since its time grows with all three; `complex` likewise
 refuses complexes past the size limits of `complexes`, counted exactly,
 `homology` boundary matrices past MAX_BOUNDARY_CELLS, and an expression
 power any product past MAX_POWER_COLUMNS columns.
@@ -27,6 +29,9 @@ from .words import EventuallyPeriodicWord
 
 LSUPP_MAX_CONES = 1 << 16
 MAX_WORD_DEPTH = 1 << 12
+# --pairs x --points x --depth of `splinter-check`: the defaults (25 pairs,
+# 50 points) at MAX_WORD_DEPTH make 5,120,000 and are admitted
+MAX_SPLINTER_WORK = 1 << 23
 
 EPILOG = (
     "Expressions compose left to right as right actions: (w)(a*b) = ((w)a)b. "
@@ -160,6 +165,12 @@ def cmd_witness(args):
 
 def cmd_splinter_check(args):
     _check_word_depth(args.depth)
+    work = args.pairs * args.points * max(args.depth, 1)
+    if work > MAX_SPLINTER_WORK:
+        raise ValueError(
+            f"--pairs x --points x --depth is {work:,}, more than "
+            f"MAX_SPLINTER_WORK = {MAX_SPLINTER_WORK:,}"
+        )
     ctx = serialize.load_context(args.group)
     rng = random.Random(args.seed)
     gset = splinter.GSet.regular(ctx.backend)

@@ -53,6 +53,9 @@ class ConeSet(Set):
     descendants at that depth (r = depth - its length); no cone is built
     until asked for.  Equal to, and hashed like, the frozenset of those
     cones; `&`, `|` and `-` return frozensets.  Iteration is in lex order.
+    Comparisons read sizes from `__len__()`, since `len()` refuses sizes
+    past sys.maxsize, and decide containment between two ConeSets on
+    their blocks.
     """
 
     def __init__(self, depth: int, blocks):
@@ -79,6 +82,58 @@ class ConeSet(Set):
         return chain.from_iterable(
             map(cone.__add__, suffixes[self.depth - len(cone)]) for cone in self.cones
         )
+
+    def _inside(self, other: "ConeSet") -> bool:
+        """Every cone of self lies in other, decided in one merge pass over
+        the sorted blocks: a block u of self lies in the block of other
+        that is a prefix of it, which is the last one sorting before u, or
+        else it must be filled by the run of blocks of other that extend u,
+        which sort right after u."""
+        if self.depth != other.depth:
+            return not self.cones
+        theirs = other.cones
+        j = 0
+        for u in self.cones:
+            while j < len(theirs) and theirs[j] < u:
+                j += 1
+            if j and u.startswith(theirs[j - 1]):
+                continue
+            missing = 1 << (self.depth - len(u))
+            while j < len(theirs) and theirs[j].startswith(u):
+                missing -= 1 << (self.depth - len(theirs[j]))
+                j += 1
+            if missing:
+                return False
+        return True
+
+    def __le__(self, other):
+        if not isinstance(other, Set):
+            return NotImplemented
+        if isinstance(other, ConeSet):
+            return self._inside(other)
+        return self.__len__() <= other.__len__() and all(map(other.__contains__, self))
+
+    def __ge__(self, other):
+        if not isinstance(other, Set):
+            return NotImplemented
+        if isinstance(other, ConeSet):
+            return other._inside(self)
+        return self.__len__() >= other.__len__() and all(map(self.__contains__, other))
+
+    def __lt__(self, other):
+        if not isinstance(other, Set):
+            return NotImplemented
+        return self.__len__() < other.__len__() and self.__le__(other)
+
+    def __gt__(self, other):
+        if not isinstance(other, Set):
+            return NotImplemented
+        return self.__len__() > other.__len__() and self.__ge__(other)
+
+    def __eq__(self, other):
+        if not isinstance(other, Set):
+            return NotImplemented
+        return self.__len__() == other.__len__() and self.__le__(other)
 
     __hash__ = Set._hash
 

@@ -9,6 +9,10 @@ simplices, and it shares nothing with the top-down face sweep in which
 mask, and every vertex: the closure under faces without the top-down sweep
 of ``SimplicialComplex``.
 
+``boundary_matrix`` is the loop builder that ``SimplicialComplex`` used
+before it formed whole position lists of faces: one dict lookup and one
+int8 cell write per face, each face sliced out of its simplex.
+
 ``dense_smith`` is the dense-only Smith route that ``smith_diagonal`` used
 before sparse unit elimination: the whole matrix goes through
 ``_smith_work``, in int64 while the guard allows and in exact big integers
@@ -59,6 +63,19 @@ def closure(nv: int, simplices) -> set[tuple[int, ...]]:
             for mask in range(1, 1 << len(s))
         )
     return out
+
+
+def boundary_matrix(cx: SimplicialComplex, k: int) -> np.ndarray:
+    cols = cx.k_simplices(k)
+    if k == 0:
+        return np.ones((1, len(cols)), dtype=np.int8)
+    rows = {s: i for i, s in enumerate(cx.k_simplices(k - 1))}
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int8)
+    for j, s in enumerate(cols):
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1:]
+            mat[rows[face], j] = (-1) ** i
+    return mat
 
 
 def dense_smith(mat: np.ndarray) -> list[int]:

@@ -81,11 +81,12 @@ def _sympy_diagonal(mat) -> list[int]:
     return [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i] != 0]
 
 
-def _sparse_matrix(rng, big: bool) -> np.ndarray:
+def _sparse_matrix(rng, big: bool, shape=None) -> np.ndarray:
     """Mostly 0 and +-1 with some +-2/+-3, so that unit elimination often
     stops early and leaves a residual block (and torsion); with big, a few
-    entries near 2^62 push the residual past int64."""
-    m, n = rng.randint(1, 30), rng.randint(1, 40)
+    entries near 2^62 push the residual past int64.  The shape is random
+    unless given."""
+    m, n = shape or (rng.randint(1, 30), rng.randint(1, 40))
     density = rng.choice((0.05, 0.1, 0.2, 0.4))
     values = (1, -1, 1, -1, 1, -1, 2, -2, 3, -3)
     mat = np.zeros((m, n), dtype=np.int64)
@@ -108,6 +109,61 @@ def test_sparse_smith_matches_sympy_and_dense(rng):
         assert got == oracle.dense_smith(mat) == _sympy_diagonal(mat), mat
         torsion += any(d > 1 for d in got)
     assert torsion >= 5  # the residual route ran, not only unit pivots
+
+
+SHAPES = {
+    "wide": lambda rng: (rng.randint(2, 15), rng.randint(16, 40)),
+    "tall": lambda rng: (rng.randint(16, 40), rng.randint(2, 15)),
+    "square": lambda rng: (rng.randint(1, 25),) * 2,
+    "row": lambda rng: (1, rng.randint(1, 40)),
+    "column": lambda rng: (rng.randint(1, 40), 1),
+}
+
+
+def test_smith_same_on_either_side(rng, monkeypatch):
+    """Unit elimination runs on the side with fewer columns: a wide matrix
+    is eliminated transposed, a tall one as given, and both must agree with
+    each other, the dense route and sympy, residual and fallback included."""
+    work = C._smith_work
+    guards = []
+
+    def spy(a, guard):
+        guards.append(guard)
+        return work(a, guard)
+
+    monkeypatch.setattr(C, "_smith_work", spy)
+    seen = set()
+    for t in range(100):
+        kind = list(SHAPES)[t % len(SHAPES)]
+        mat = _sparse_matrix(rng, big=t % 3 == 2, shape=SHAPES[kind](rng))
+        got = []
+        for side in (mat, mat.T):
+            guards.clear()
+            got.append(C.smith_diagonal(side))
+            eliminated = "transposed" if side.shape[1] > side.shape[0] else "as given"
+            if any(d > 1 for d in got[-1]):
+                seen.add((eliminated, "torsion"))
+            if False in guards:
+                seen.add((eliminated, "object fallback"))
+        assert got[0] == got[1] == oracle.dense_smith(mat) == _sympy_diagonal(mat), (
+            kind,
+            mat,
+        )
+    assert seen == {
+        (side, route)
+        for side in ("transposed", "as given")
+        for route in ("torsion", "object fallback")
+    }
+
+
+def test_units_eliminated_on_the_short_side():
+    # no unit pivot here: the residual is the matrix itself, or its
+    # transpose when that has fewer columns; a square matrix stays as given
+    for mat in (np.array([[2, 3, 0]]), np.array([[2], [3], [0]])):
+        units, residual = C._eliminate_units(mat)
+        assert units == 0 and residual.tolist() == [[2], [3]]
+    units, residual = C._eliminate_units(np.array([[2, 3], [0, 0]]))
+    assert units == 0 and residual.tolist() == [[2, 3]]
 
 
 def test_sparse_smith_residual_past_int64():
@@ -317,6 +373,38 @@ def test_matching_connectivity_window():
             continue
         res = C.homology(C.matching_complex(n), bound)
         assert res.is_trivial_through(bound), (n, res)
+
+
+def _assert_builder_matches_oracle(cx: C.SimplicialComplex):
+    for k in range(cx.dimension() + 3):  # k = 0 and two past the top
+        got, want = cx.boundary_matrix(k), oracle.boundary_matrix(cx, k)
+        assert type(got) is np.ndarray and got.dtype == want.dtype == np.int8
+        assert got.shape == want.shape and np.array_equal(got, want), k
+
+
+def test_boundary_builder_matches_loop_oracle(rng):
+    for n in range(2, 10):
+        _assert_builder_matches_oracle(C.matching_complex(n))
+    for ctx in DLINK_CONTEXTS.values():
+        _assert_builder_matches_oracle(C.dlink_complex(ctx, 4).complex)
+    for n, simplices in EDGE_INPUTS + [_random_input(rng) for _ in range(60)]:
+        _assert_builder_matches_oracle(C.SimplicialComplex(list(range(n)), simplices))
+    empty = C.SimplicialComplex([], [])
+    assert empty.boundary_matrix(0).shape == (1, 0)
+    assert empty.boundary_matrix(1).shape == (0, 0)
+
+
+def test_boundary_builder_past_int64_face_codes(rng):
+    # base-|V| codes of 11-vertex faces would need 2000^11 > 2^120
+    top = [tuple(rng.sample(range(1990), 11)) + (1999 - t,) for t in range(3)]
+    cx = C.SimplicialComplex(list(range(2000)), top)
+    assert cx.dimension() == 11
+    for k in (10, 11):
+        got, want = cx.boundary_matrix(k), oracle.boundary_matrix(cx, k)
+        assert got.dtype == np.int8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert (np.count_nonzero(got, axis=0) == k + 1).all()
+    assert C.smith_diagonal(cx.boundary_matrix(11)) == [1, 1, 1]
 
 
 def _assert_boundaries_match_dense(cx: C.SimplicialComplex):

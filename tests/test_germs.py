@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 
@@ -221,6 +222,60 @@ def test_lsupp_approx_builds_no_cone(z2_diag):
     assert G.disjoint_supports_commute(a, b, 200)
     assert time.perf_counter() - start < 1.0
     assert repr(left.included) == "ConeSet(depth=200, blocks=1)"
+
+
+def test_cone_set_compares_past_maxsize(z2_diag):
+    # 2^199 cones: every comparison reads __len__ and the blocks, not len()
+    g = z2_diag.source_backend.element(1)
+    x = G.lsupp_approx(E.lambda_u(z2_diag, "0", g), 200).included
+    y = G.lsupp_approx(E.lambda_u(z2_diag, "1", g), 200).included
+    halves = G.ConeSet(200, [("00", 198), ("01", 198)])
+    quarter = G.ConeSet(200, [("01", 198)])
+    point = G.ConeSet(200, [("0" * 200, 0)])
+    start = time.perf_counter()
+    assert not x == frozenset() and not frozenset() == x
+    assert x != frozenset() and frozenset() != x
+    assert x == x and not x != x and x == halves and halves == x
+    assert x <= halves <= x and x >= halves >= x
+    assert not x < halves and not x > halves
+    assert quarter < x and x > quarter and quarter <= x and not x <= quarter
+    assert not quarter >= x and quarter != x
+    assert x != y and not x <= y and not y <= x and not x >= y
+    assert frozenset() <= x and frozenset() < x and x > frozenset() and x >= frozenset()
+    assert not x <= frozenset() and not x < frozenset()
+    assert point == frozenset({"0" * 200}) == point and point <= x and point < x
+    assert frozenset({"0" * 200}) <= x and frozenset({"0" * 200}) < x
+    assert x >= frozenset({"0" * 200}) and not x >= frozenset({"1" * 200})
+    assert not frozenset({"1" * 200}) <= x
+    assert x != G.ConeSet(199, [("0", 198)]) and not x <= G.ConeSet(199, [("", 199)])
+    assert G.ConeSet(199, []) <= x and G.ConeSet(199, []) == frozenset()
+    assert x != "0" and x != None  # noqa: E711
+    assert time.perf_counter() - start < 1.0
+
+
+def _random_blocks(rng, depth, cone=""):
+    """Disjoint blocks (cone, r) under `cone`, split at random."""
+    pick = rng.random()
+    if pick < 0.3:
+        return []
+    if pick < 0.6 or len(cone) == depth:
+        return [(cone, depth - len(cone))]
+    return _random_blocks(rng, depth, cone + "0") + _random_blocks(rng, depth, cone + "1")
+
+
+def test_cone_set_comparisons_match_frozensets(rng):
+    depth = 5
+    sets = [G.ConeSet(depth, _random_blocks(rng, depth)) for _ in range(40)]
+    sets.append(G.ConeSet(depth, [(format(i, "05b"), 0) for i in range(32)]))
+    plain = [frozenset(s) for s in sets]
+    ops = (operator.eq, operator.ne, operator.le, operator.lt, operator.ge, operator.gt)
+    for a, fa in zip(sets, plain):
+        for b, fb in zip(sets, plain):
+            for op in ops:
+                want = op(fa, fb)
+                assert op(a, b) == op(a, fb) == op(fa, b) == want, (a.cones, b.cones, op)
+    assert any(a == b and a.cones != b.cones for a in sets for b in sets)
+    assert any(a < b for a in sets for b in sets)
 
 
 def test_lsupp_count_builds_no_cone(z2_diag, z3_right):
