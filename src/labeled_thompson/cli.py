@@ -9,10 +9,12 @@ supports of more than LSUPP_MAX_CONES = 2^16 cones, and `act` and
 `splinter-check` refuse depths past MAX_WORD_DEPTH = 2^12 before any work,
 since both take time linear in the depth.  `splinter-check` also refuses,
 before it loads the group, a product --pairs x --points x --depth past
-MAX_SPLINTER_WORK = 2^23, since its time grows with all three; `complex` likewise
-refuses complexes past the size limits of `complexes`, counted exactly,
-`homology` boundary matrices past MAX_BOUNDARY_CELLS, and an expression
-power any product past MAX_POWER_COLUMNS columns.
+MAX_SPLINTER_WORK = 2^23, since its time grows with all three, and an
+--elements count past MAX_SPLINTER_ELEMENTS = 2^14, since each element costs
+a faithfulness walk of its own; `complex` likewise refuses complexes past
+the size limits of `complexes`, counted exactly, `homology` boundary
+matrices past MAX_BOUNDARY_CELLS, and an expression power any product past
+MAX_POWER_COLUMNS columns.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ MAX_WORD_DEPTH = 1 << 12
 # --pairs x --points x --depth of `splinter-check`: the defaults (25 pairs,
 # 50 points) at MAX_WORD_DEPTH make 5,120,000 and are admitted
 MAX_SPLINTER_WORK = 1 << 23
+# --elements of `splinter-check`: each random element is walked at its own
+# depth over the whole G-set
+MAX_SPLINTER_ELEMENTS = 1 << 14
 
 EPILOG = (
     "Expressions compose left to right as right actions: (w)(a*b) = ((w)a)b. "
@@ -170,6 +175,11 @@ def cmd_splinter_check(args):
         raise ValueError(
             f"--pairs x --points x --depth is {work:,}, more than "
             f"MAX_SPLINTER_WORK = {MAX_SPLINTER_WORK:,}"
+        )
+    if args.elements > MAX_SPLINTER_ELEMENTS:
+        raise ValueError(
+            f"--elements {args.elements:,} is more than "
+            f"MAX_SPLINTER_ELEMENTS = {MAX_SPLINTER_ELEMENTS:,}"
         )
     ctx = serialize.load_context(args.group)
     rng = random.Random(args.seed)

@@ -8,8 +8,12 @@ M_n has sum_j (#j-matchings) simplices and the descending link
 sum_j (#j-matchings) (2|G|)^j classes.  Past MAX_MATCHING_SIMPLICES or
 MAX_DLINK_CLASSES the constructors raise ValueError.  Descending links are
 built twice, by independent routes: one canonical form per orbit of the
-wreath action, with faces computed by groupoid re-splitting, and the
-fiber-join over the matching complex through the forgetful map.  Homology
+wreath action, and the fiber-join over the matching complex through the
+forgetful map.  In the first, a face is the groupoid product of a class
+representative with a splitter of all but one caret, and its vertex is
+looked up by the edge of the one caret left, read off the product's
+columns; the representatives are built unchecked, as they are valid and
+reduced by construction.  Homology
 uses Smith normal form over the integers: unit pivots are eliminated
 sparsely and exactly, on the boundary matrix or its transpose, whichever
 has fewer columns (a matrix and its transpose share the Smith form, and d_k
@@ -31,7 +35,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .diagrams import Context, LabeledDiagram
-from .elements import GroupoidElement
+from .elements import GroupoidElement, _of_reduced
+from .groups import GroupElement
 
 # size limits, checked by exact counts before anything is listed: M_14
 # (2,390,479 simplices) and Z/2 diagonal n=8 (57,232 classes) are admitted,
@@ -462,24 +467,21 @@ def _splitting(ctx: Context, roots: int, carets: Sequence[int]) -> GroupoidEleme
     return GroupoidElement(LabeledDiagram(ctx, cols, roots, len(leaves)))
 
 
-def _class_tuple(d: LabeledDiagram) -> tuple:
-    """(labels, sigma, caret roots) read off a [1_n, (g, s), F_J] diagram."""
-    labels = tuple(g.value for _, g, _ in d.columns)
-    carets = tuple(sorted({r for _, _, (r, w) in d.columns if w}))
-    return labels, d.sigma(), carets
-
-
 def _class_element(
     ctx: Context, n: int, labels: Sequence, sigma: Sequence[int], carets: Sequence[int]
 ) -> GroupoidElement:
     """[1_n, (labels, sigma), F_J]: domain root i pairs with the
-    sigma(i)-th lex leaf of the elementary range forest."""
+    sigma(i)-th lex leaf of the elementary range forest.
+
+    Built unchecked from label values of the context's group and a
+    permutation sigma of the leaves of F_J: the columns are in domain order
+    (i, ""), and bare domain roots have no sibling to merge with, so the
+    diagram is valid and already reduced."""
     m = n - len(carets)
     leaves = _forest_leaves(m, carets)
-    cols = [
-        ((i, ""), ctx.backend.element(labels[i]), leaves[sigma[i]]) for i in range(n)
-    ]
-    return GroupoidElement(LabeledDiagram(ctx, cols, n, m))
+    G = ctx.backend
+    cols = tuple(((i, ""), GroupElement(G, labels[i]), leaves[sigma[i]]) for i in range(n))
+    return _of_reduced(GroupoidElement, LabeledDiagram._trusted(ctx, cols, n, m))
 
 
 class CaretOrbits:
@@ -563,23 +565,31 @@ class CaretOrbits:
             cols.append(((i, ""), g, (number.setdefault(first, len(number)), w)))
         return n, n - len(edges), tuple(cols)
 
+    def edges(self, feeds: Iterable[tuple]) -> list[tuple]:
+        """The pairs ((a, c), caret orbit representative), by increasing a,
+        of a [1_n, (g, s), F_J] diagram given as (domain root, label value,
+        range leaf) triples in domain order: the two leaves of a caret are
+        fed by domain roots a < c, and the leaf fed by a gives the side."""
+        first: dict[int, tuple] = {}
+        out = []
+        for i, g, (r, w) in feeds:
+            if not w:
+                continue
+            if r not in first:
+                first[r] = (i, int(w), g)
+            else:
+                a, s, ga = first.pop(r)
+                out.append(((a, i), self.rep_of[(s, ga, g)]))
+        out.sort()
+        return out
+
     def canonical(self, raw: tuple) -> tuple:
         """The representative of the class of any raw (labels, sigma,
         carets) tuple."""
         labels, sigma, carets = raw
         leaves = _forest_leaves(len(labels) - len(carets), carets)
-        first: dict[int, tuple] = {}
-        edges = []
-        for i, k in enumerate(sigma):
-            r, w = leaves[k]
-            if not w:
-                continue
-            if r not in first:
-                first[r] = (i, int(w))
-            else:
-                a, s = first.pop(r)
-                edges.append(((a, i), self.rep_of[(s, labels[a], labels[i])]))
-        return self.representative(len(labels), sorted(edges))
+        feeds = ((i, labels[i], leaves[k]) for i, k in enumerate(sigma))
+        return self.representative(len(labels), self.edges(feeds))
 
 
 @dataclass
@@ -593,10 +603,20 @@ class DescendingLink:
     vertex_keys: list
     simplex_vertices: dict  # class id -> tuple of vertex ids
     orbits: CaretOrbits | None
+    vertex_of: dict | None  # caret edge ((a, c), orbit representative) -> vertex id
 
     def class_id(self, raw: tuple) -> int:
         """The id of the class of any raw (labels, sigma, carets) tuple."""
         return self.class_of[self.orbits.canonical(raw)]
+
+
+def _face_vertex(orbits: CaretOrbits, vertex_of: dict, face: LabeledDiagram) -> int:
+    """The vertex of a single-caret [1_n, (g, s), F_{r}] diagram, looked up
+    by the edge of its caret."""
+    edges = orbits.edges((i, g.value, leaf) for (i, _), g, leaf in face.columns)
+    if len(edges) != 1 or edges[0] not in vertex_of:
+        raise AssertionError(f"a face is not one known caret edge: {edges}")
+    return vertex_of[edges[0]]
 
 
 def dlink_complex(ctx: Context, n: int) -> DescendingLink:
@@ -611,9 +631,13 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
     refused before anything is listed.  Each class is stored by its orbit
     minimum in (carets, sigma, label indices) order, and ids follow
     (j, representative), which is the order in which a walk over every raw
-    tuple would first meet the classes.  The vertex of a caret is
-    the class left when every other caret is split; that face step goes
-    through groupoid products and the canonical lookup.
+    tuple would first meet the classes.  The vertex of a caret is the class
+    left when every other caret is split: the product of the class
+    representative with the splitter of the other carets has one caret,
+    whose edge ((a, c), caret orbit representative) `CaretOrbits.edges`
+    reads off its columns, and a table from the edges of the single-caret
+    classes gives the vertex.  A face that is not one known edge raises
+    AssertionError.
     """
     G = ctx.backend
     if not G.is_finite():
@@ -639,11 +663,13 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
     found.sort(key=lambda item: item[0])
     classes = [rep for _, rep, _ in found]
     class_of = {rep: cid for cid, rep in enumerate(classes)}
-    vertex_keys = [orbits.key(n, edges) for _, rep, edges in found if len(rep[2]) == 1]
+    # the single-caret classes come first, so a vertex's index is its class
+    # id; each is looked up by its one edge
+    vertex_of = {edges[0]: cid for cid, (_, _, edges) in enumerate(found) if len(edges) == 1}
+    vertex_keys = [orbits.key(n, [edge]) for edge in vertex_of]
 
-    # vertex set per class: keep one caret, split the others, and read off
-    # the single-caret class; those are the first classes, so a vertex's
-    # index is its class id
+    # vertex set per class: keep one caret, split the others, and read the
+    # edge of the one caret left off the product's columns
     simplex_vertices: dict[int, tuple[int, ...]] = {}
     splitters: dict[tuple, GroupoidElement] = {}
     for cid, (labels, sigma, carets) in enumerate(classes):
@@ -658,13 +684,15 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
             if (m, rest) not in splitters:
                 splitters[m, rest] = _splitting(ctx, m, rest)
             split = rep * splitters[m, rest]
-            hit.add(class_of[orbits.canonical(_class_tuple(split.diagram))])
+            hit.add(_face_vertex(orbits, vertex_of, split.diagram))
         if len(hit) != len(carets):
             raise AssertionError("simplex has wrong number of vertices")
         simplex_vertices[cid] = tuple(sorted(hit))
 
     cx = SimplicialComplex(vertex_keys, simplex_vertices.values())
-    return DescendingLink(ctx, n, cx, class_of, vertex_keys, simplex_vertices, orbits)
+    return DescendingLink(
+        ctx, n, cx, class_of, vertex_keys, simplex_vertices, orbits, vertex_of
+    )
 
 
 def forgetful_pi(key: tuple) -> tuple[int, int]:

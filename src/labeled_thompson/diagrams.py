@@ -17,7 +17,9 @@ constructor sorts the columns and checks both forest partitions and the
 labels' group; `tree_diagram`, `from_parts`, `identity_diagram`, `invert`, the element
 helpers and JSON all build through it.  The two one-step moves and
 `compose` build their results with the unchecked `LabeledDiagram._trusted`,
-because they cannot break a valid diagram.  A move replaces a leaf by its
+because they cannot break a valid diagram, and so does
+`complexes._class_element`, whose descending-link representatives are
+valid and reduced by construction (see its docstring).  A move replaces a leaf by its
 two children, or two sibling leaves by their parent, which keeps both
 forest partitions; a leaf's children sort directly after it, so the
 columns stay in domain order; and the new labels come from the context's
@@ -140,9 +142,9 @@ class LabeledDiagram:
         n_roots: int,
     ) -> "LabeledDiagram":
         """A diagram from columns already known to be valid and in domain
-        order; nothing is sorted or checked.  Only the one-step moves and
-        `compose` use it (see the module docstring for why their results
-        are valid)."""
+        order; nothing is sorted or checked.  Only the one-step moves,
+        `compose` and `complexes._class_element` use it (see the module
+        docstring for why their results are valid)."""
         d = object.__new__(cls)
         d.context = context
         d.columns = columns

@@ -36,8 +36,9 @@ def _bounded_power(x: "VPhiElement") -> "VPhiElement":
 
 def _of_reduced(cls, diagram: LabeledDiagram):
     """An element of class cls wrapping a diagram that is already reduced,
-    as `compose` and `invert` return them, without reducing it again; the
-    public constructors reduce."""
+    as `compose`, `invert` and the descending-link class representatives
+    return them, without reducing it again; the public constructors
+    reduce."""
     x = object.__new__(cls)
     x.diagram = diagram
     return x

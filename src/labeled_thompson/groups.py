@@ -570,17 +570,21 @@ class WreathRecursion:
             return WreathImage(g, B.one(), False)
         if self.rule == "kappa":
             return WreathImage(g, g, self.kappa[v])
+        # halves of an integer, or entries of the table checked when the
+        # rule was built: both are values of B, wrapped without a check
         if self.rule == "adding":
             # t^m -> ((t^floor(m/2), t^ceil(m/2)), swap when m is odd)
             return WreathImage(
-                B.element(v // 2), B.element(-((-v) // 2)), bool(v % 2)
+                GroupElement(B, v // 2), GroupElement(B, -((-v) // 2)), bool(v % 2)
             )
         l, r, s = self.table[v]
-        return WreathImage(B.element(l), B.element(r), s)
+        return WreathImage(GroupElement(B, l), GroupElement(B, r), s)
 
     def preimage(self, w: WreathImage) -> Optional[GroupElement]:
         """The unique g with apply(g) == w, or None; defined only for
-        recursions proven injective."""
+        recursions proven injective.  The slots are labels of this backend,
+        so a slot is returned as it is and other values are wrapped
+        unchecked."""
         if not self._injective:
             raise ValueError("preimage undefined for non-injective recursion")
         B = self.backend
@@ -589,22 +593,20 @@ class WreathRecursion:
         l, r, s = w.left.value, w.right.value, w.swap
         e = B.identity_value()
         if self.rule == "diagonal":
-            return B.element(l) if (l == r and not s) else None
+            return w.left if (l == r and not s) else None
         if self.rule == "vanishing":
             return B.one() if (l == e and r == e and not s) else None
         if self.rule == "right":
-            return B.element(r) if (l == e and not s) else None
+            return w.right if (l == e and not s) else None
         if self.rule == "left":
-            return B.element(l) if (r == e and not s) else None
+            return w.left if (r == e and not s) else None
         if self.rule == "kappa":
-            if l == r and self.kappa[l] == s:
-                return B.element(l)
-            return None
+            return w.left if (l == r and self.kappa[l] == s) else None
         if self.rule == "adding":
-            m = 2 * l + 1 if s else 2 * l
-            return B.element(m) if self.apply(B.element(m)) == w else None
+            # t^m splits as (t^l, t^(l+s)) with m = 2l + s
+            return GroupElement(B, 2 * l + s) if r == l + s else None
         g = self._preimage.get((l, r, s))
-        return B.element(g) if g is not None else None
+        return GroupElement(B, g) if g is not None else None
 
     def walk(self, g: GroupElement, word: str) -> tuple[str, GroupElement]:
         """Run the label transducer from g along a finite binary word.

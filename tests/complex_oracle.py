@@ -21,10 +21,14 @@ after that.
 ``dlink_complex`` is the compose route that ``complexes.dlink_complex``
 replaced: it walks every raw ``(labels, sigma, carets)`` tuple, and every
 orbit element is the groupoid product of the class representative with a
-wreath element diagram, whose class tuple and key are read off the reduced
-product.  Its ``class_of`` holds every raw tuple.  It shares the
-representative diagram, class tuple and face step with the library but
-none of the canonical forms.
+wreath element diagram, whose class tuple (``_class_tuple``) and key are
+read off the reduced product.  Its ``class_of`` holds every raw tuple.
+Its faces are the same products as the library's, the representative
+times the splitter of the other carets, but it finds the vertex of a face
+from the face's whole class tuple in its ``class_of``, where the library
+looks up the edge of the face's one caret.  It shares the representative
+diagram and the splitter with the library and none of the canonical
+forms or edge readers.
 """
 
 from __future__ import annotations
@@ -37,12 +41,18 @@ from labeled_thompson.complexes import (
     DescendingLink,
     SimplicialComplex,
     _class_element,
-    _class_tuple,
     _smith_work,
     _splitting,
 )
 from labeled_thompson.diagrams import Context, LabeledDiagram
 from labeled_thompson.elements import GroupoidElement
+
+
+def _class_tuple(d: LabeledDiagram) -> tuple:
+    """(labels, sigma, caret roots) read off a [1_n, (g, s), F_J] diagram."""
+    labels = tuple(g.value for _, g, _ in d.columns)
+    carets = tuple(sorted({r for _, _, (r, w) in d.columns if w}))
+    return labels, d.sigma(), carets
 
 
 def maximal_simplices(cx: SimplicialComplex) -> list[tuple[int, ...]]:
@@ -152,4 +162,4 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
 
     cx = SimplicialComplex(vertex_keys, simplex_vertices.values())
     # class_of holds every raw tuple here, so no canonical lookup is needed
-    return DescendingLink(ctx, n, cx, class_of, vertex_keys, simplex_vertices, None)
+    return DescendingLink(ctx, n, cx, class_of, vertex_keys, simplex_vertices, None, None)

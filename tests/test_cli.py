@@ -7,6 +7,7 @@ import pytest
 from labeled_thompson import complexes, perfection
 from labeled_thompson.cli import (
     LSUPP_MAX_CONES,
+    MAX_SPLINTER_ELEMENTS,
     MAX_SPLINTER_WORK,
     MAX_WORD_DEPTH,
     build_parser,
@@ -342,6 +343,19 @@ def test_splinter_check_work_limit(tmp_path, capsys):
     assert args.pairs * args.points * MAX_WORD_DEPTH <= MAX_SPLINTER_WORK
     assert main(["splinter-check", "-g", missing, "--pairs", "0", "--points", "0"]) == 2
     assert "MAX_SPLINTER_WORK" not in capsys.readouterr().err
+
+
+def test_splinter_check_element_limit(tmp_path, capsys):
+    # refused from the arguments alone, before the group file is read
+    missing = str(tmp_path / "missing.json")
+    start = time.perf_counter()
+    assert main(["splinter-check", "-g", missing, "--elements", "1000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "MAX_SPLINTER_ELEMENTS" in err
+    limit = str(MAX_SPLINTER_ELEMENTS)
+    assert main(["splinter-check", "-g", missing, "--elements", limit]) == 2
+    assert "MAX_SPLINTER_ELEMENTS" not in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(z2_file):

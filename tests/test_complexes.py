@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from labeled_thompson import complexes as C
-from labeled_thompson.diagrams import Context
+from labeled_thompson.diagrams import Context, LabeledDiagram
 from labeled_thompson.groups import (
     CyclicGroup,
     FiniteTableGroup,
@@ -545,6 +545,61 @@ def test_dlink_matches_compose_oracle(name, n):
     assert link.complex.simplices == ref.complex.simplices
 
 
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in ("trivial", "z2_diag", "z3_diag") for n in (2, 3, 4)]
+    + [("s3_sign", 2), ("s3_sign", 3)]
+    # 124,416 raw tuples, about 5 s
+    + [pytest.param("s3_sign", 4, marks=pytest.mark.slow)],
+)
+def test_class_elements_pass_validation(name, n):
+    """`_class_element` builds its diagram unchecked: for every raw tuple
+    the validating constructor accepts the columns as they are and gives an
+    equal diagram, and the diagram is already reduced."""
+    ctx = DLINK_CONTEXTS[name]
+    for j in range(1, n // 2 + 1):
+        for raw in _raw_tuples(ctx, n, j):
+            d = C._class_element(ctx, n, *raw).diagram
+            checked = LabeledDiagram(ctx, d.columns, n, n - j)
+            assert checked.columns == d.columns and checked == d
+            assert d.reduce() is d
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in DLINK_CONTEXTS for n in range(2, 6)] + [("z3_diag", 6)],
+)
+def test_face_lookup_matches_canonical_route(name, n):
+    """Every face's vertex, looked up by its caret edge, is the class that
+    `canonical` gives the face's raw tuple, and the vertex sets of the
+    link are those faces."""
+    ctx = DLINK_CONTEXTS[name]
+    link = C.dlink_complex(ctx, n)
+    for raw, cid in link.class_of.items():
+        labels, sigma, carets = raw
+        m = n - len(carets)
+        rep = C._class_element(ctx, n, labels, sigma, carets)
+        faces = []
+        for r in carets:
+            split = rep * C._splitting(ctx, m, [c for c in carets if c != r])
+            want = link.class_id(oracle._class_tuple(split.diagram))
+            assert C._face_vertex(link.orbits, link.vertex_of, split.diagram) == want
+            faces.append(want)
+        assert link.simplex_vertices[cid] == tuple(sorted(faces))
+    assert sorted(link.vertex_of.values()) == list(range(len(link.vertex_keys)))
+
+
+def test_face_lookup_refuses_unknown_edges(z2_diag):
+    link = C.dlink_complex(z2_diag, 4)
+    raw = next(raw for raw in link.class_of if len(raw[2]) == 2)
+    rep = C._class_element(z2_diag, 4, *raw)
+    with pytest.raises(AssertionError, match="not one known caret edge"):
+        C._face_vertex(link.orbits, link.vertex_of, rep.diagram)  # two carets
+    split = rep * C._splitting(z2_diag, 2, [1])
+    with pytest.raises(AssertionError, match="not one known caret edge"):
+        C._face_vertex(link.orbits, {}, split.diagram)
+
+
 CLASS_COUNT_EXAMPLES = {
     ("z2_diag", 5): {1: 40, 2: 240},
     ("z3_diag", 4): {1: 36, 2: 108},
@@ -554,7 +609,7 @@ CLASS_COUNT_EXAMPLES = {
     ("s3_sign", 5): {1: 120, 2: 2160},
     ("z2_diag", 8): {1: 112, 2: 3360, 3: 26880, 4: 26880},
 }
-# about 30 s each: run with pytest -m slow
+# about 11 s each: run with pytest -m slow
 SLOW_HEIGHTS = {("z2_diag", 8)}
 # heights whose raw tuples (over 500,000 of them) are not walked here
 BEYOND_BRUTE_FORCE = {("z2_diag", 6), ("z3_diag", 6), ("s3_sign", 5)} | SLOW_HEIGHTS

@@ -210,6 +210,82 @@ def test_adding_machine_preimage_exhaustive_window():
         assert matches == [m]
 
 
+def _checked_apply(rec, g):
+    """The adding and custom images as `apply` built them before it wrapped
+    values unchecked: every slot through `backend.element`."""
+    B, v = rec.backend, g.value
+    if rec.rule == "adding":
+        return WreathImage(B.element(v // 2), B.element(-((-v) // 2)), bool(v % 2))
+    l, r, s = rec.table[v]
+    return WreathImage(B.element(l), B.element(r), s)
+
+
+def _checked_preimage(rec, w):
+    """`preimage` as it was before the closed form: checked values, and the
+    adding rule re-applies the recursion to its candidate."""
+    B = rec.backend
+    l, r, s = w.left.value, w.right.value, w.swap
+    e = B.identity_value()
+    if rec.rule == "diagonal":
+        return B.element(l) if (l == r and not s) else None
+    if rec.rule == "right":
+        return B.element(r) if (l == e and not s) else None
+    if rec.rule == "left":
+        return B.element(l) if (r == e and not s) else None
+    if rec.rule == "kappa":
+        return B.element(l) if (l == r and rec.kappa[l] == s) else None
+    if rec.rule == "adding":
+        m = 2 * l + 1 if s else 2 * l
+        return B.element(m) if _checked_apply(rec, B.element(m)) == w else None
+    g = rec._preimage.get((l, r, s))
+    return B.element(g) if g is not None else None
+
+
+def _assert_preimages_match(rec, values):
+    B = rec.backend
+    for l, r, s in itertools.product(values, values, (False, True)):
+        w = WreathImage(B.element(l), B.element(r), s)
+        got, want = rec.preimage(w), _checked_preimage(rec, w)
+        assert got == want, (l, r, s)
+        if got is not None:
+            assert B.check_value(got.value) and type(got.value) is int
+            assert rec.apply(got) == w
+
+
+def test_unchecked_images_match_the_checked_route():
+    z = CyclicGroup(None)
+    adding = WreathRecursion(z, "adding")
+    for m in range(-40, 41):
+        img = adding.apply(z.element(m))
+        assert img == _checked_apply(adding, z.element(m))
+        assert all(type(x.value) is int for x in img[:2])
+    _assert_preimages_match(adding, range(-12, 13))
+    s3 = symmetric_table(3)
+    sign = {v: s3.mul(v, v) == 0 and v != 0 for v in range(6)}
+    for rec in (
+        WreathRecursion(s3, "diagonal"),
+        WreathRecursion(s3, "right"),
+        WreathRecursion(s3, "left"),
+        WreathRecursion(s3, "kappa", kappa=sign),
+    ):
+        _assert_preimages_match(rec, range(6))
+    z4 = cyclic_table(4)
+    doubling = WreathRecursion(
+        z4, "custom", table={v: ((2 * v) % 4, (2 * v) % 4, False) for v in range(4)}
+    )
+    customs = [
+        WreathRecursion(s3, "custom", table={v: (v, v, sign[v]) for v in range(6)}),
+        WreathRecursion(cyclic_table(2), "custom", table={0: (0, 0, False), 1: (0, 0, True)}),
+        injectivize(doubling)[2],
+    ]
+    for rec in customs:
+        assert rec.rule == "custom" and rec.is_injective()
+        values = list(rec.backend.element_values())
+        for g in rec.backend.elements():
+            assert rec.apply(g) == _checked_apply(rec, g)
+        _assert_preimages_match(rec, values)
+
+
 # -- tree action ---------------------------------------------------------------
 
 

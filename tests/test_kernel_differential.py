@@ -301,11 +301,13 @@ def test_trusted_products_pass_validation(ctx, data):
 
 
 def test_trusted_constructor_only_in_one_step_moves():
-    """The one-step moves and `compose` are the only unchecked builders."""
+    """The one-step moves, `compose` and the descending-link class
+    representatives are the only unchecked builders."""
     assert set(package_calls({"_trusted"})) == {
         ("diagrams.py", "LabeledDiagram.simple_expand"),
         ("diagrams.py", "LabeledDiagram.simple_reduce"),
         ("diagrams.py", "compose"),
+        ("complexes.py", "_class_element"),
     }
 
 
