@@ -14,14 +14,13 @@ representative with a splitter of all but one caret, and its vertex is
 looked up by the edge of the one caret left, read off the product's
 columns; the representatives are built unchecked, as they are valid and
 reduced by construction.  Homology
-uses Smith normal form over the integers: unit pivots are eliminated
-sparsely and exactly, on the boundary matrix or its transpose, whichever
-has fewer columns (a matrix and its transpose share the Smith form, and d_k
-of a matching complex is several times wider than tall), and the dense
-code (numpy int64 fast path with an exact object-dtype fallback) finishes
-the residual block that has no unit left.  Boundary matrices are built a
-whole face position at a time, looking faces up as vertex tuples, so no
-numeric face code can overflow.
+uses Smith normal form over the integers, by one sparse elimination over
+Python ints on the boundary matrix or its transpose, whichever has fewer
+columns (a matrix and its transpose share the Smith form, and d_k of a
+matching complex is several times wider than tall): unit pivots first, then
+pivots of least absolute value.  Boundary matrices are built a whole face
+position at a time, looking faces up as vertex tuples, so no numeric face
+code can overflow.
 """
 
 from __future__ import annotations
@@ -161,41 +160,109 @@ class SimplicialComplex:
 def smith_diagonal(mat: np.ndarray) -> list[int]:
     """Nonzero diagonal of the Smith normal form, divisibility-chained.
 
-    Unit pivots are eliminated sparsely and exactly (Dumas-Saunders-Villard,
-    J. Symbolic Comput. 2001): the shortest column first, within it the
-    +-1 entry whose row is shortest; each one adds a 1 to the diagonal.
-    The elimination runs on mat or on its transpose, whichever has fewer
-    columns: the transpose has the same Smith form, and fewer columns mean
-    fewer column operations (d_2 of M_10 is 630 x 3150 and is eliminated
-    transposed).
-    The dense code finishes the residual block that has no unit left: it
-    pivots on the minimal absolute value, runs in int64 and retries with
-    exact big integers whenever entries threaten to overflow.
+    One sparse elimination, exact over Python ints, on mat or on its
+    transpose, whichever has fewer columns: the transpose has the same
+    Smith form, and fewer columns mean fewer column operations (d_2 of
+    M_10 is 630 x 3150 and is eliminated transposed).  A pivot u at (p, j)
+    clears row p by column operations and then column j by row operations
+    that touch nothing else, leaving |u| and the block without row p and
+    column j.  Unit pivots come first (Dumas-Saunders-Villard, J. Symbolic
+    Comput. 2001): the shortest column, within it the +-1 entry whose row
+    is shortest.  When no unit is left, the pivot is an entry of least
+    absolute value and the operations subtract floor quotients: column
+    operations leave remainders in row p, and once row p holds the pivot
+    alone, row operations leave them in column j.  A nonzero remainder is
+    smaller than the pivot and becomes the next one.
     """
     if mat.size == 0:
         return []
-    units, residual = _eliminate_units(mat)
-    tail: list[int] = []
-    if residual.size:
-        try:
-            tail = _smith_work(residual.astype(np.int64), guard=True)
-        except OverflowError:
-            tail = _smith_work(residual, guard=False)
-    return [1] * units + tail
+    cols, rows = _short_side(mat)
+    # shortest live column first; a column re-enters whenever it changes,
+    # and an entry whose length is stale is skipped
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+
+    def subtract(col, f, k):
+        """Column k -= f * col, keeping the row sets."""
+        other = cols[k]
+        for i, v in col.items():
+            w = other.get(i, 0) - f * v
+            if w:
+                if i not in other:
+                    rows[i].add(k)
+                other[i] = w
+            else:
+                del other[i]
+                rows[i].discard(k)
+        if other:
+            heapq.heappush(heap, (len(other), k))
+
+    units = 0
+    diag: list[int] = []
+    while True:
+        while heap:
+            size, j = heapq.heappop(heap)
+            col = cols[j]
+            if col is None or len(col) != size:
+                continue
+            p = min(
+                (i for i, v in col.items() if v == 1 or v == -1),
+                key=lambda i: len(rows[i]),
+                default=None,
+            )
+            if p is None:
+                continue
+            # the pivot entry cancels in every column it clears, so it
+            # leaves the pivot column and the cleared columns before the loop
+            u = col.pop(p)
+            for k in rows.pop(p):
+                if k != j:
+                    subtract(col, cols[k].pop(p) * u, k)
+            for i in col:
+                rows[i].discard(j)
+            cols[j] = None
+            units += 1
+        # no unit left: pivot on an entry of least absolute value, in the
+        # shortest column that has one and, within it, the shortest row
+        *_, j = min(
+            ((min(map(abs, col.values())), len(col), j) for j, col in enumerate(cols) if col),
+            default=(None,),
+        )
+        if j is None:
+            break
+        col = cols[j]
+        p = min(col, key=lambda i: (abs(col[i]), len(rows[i])))
+        while True:
+            col, u = cols[j], cols[j][p]
+            for k in rows[p] - {j}:
+                if f := cols[k][p] // u:  # 0 leaves a smaller entry in row p
+                    subtract(col, f, k)
+            if len(rows[p]) > 1:
+                j = min(rows[p] - {j}, key=lambda k: abs(cols[k][p]))
+                continue
+            for i in [i for i in col if i != p]:
+                col[i] %= u
+                if not col[i]:
+                    del col[i]
+                    rows[i].discard(j)
+            if len(col) == 1:
+                break
+            p = min((i for i in col if i != p), key=lambda i: abs(col[i]))
+        del rows[p]
+        cols[j] = None
+        diag.append(abs(u))
+    # a gcd/lcm exchange of neighbours sorts each prime's exponents in the
+    # pair, so passes of them, as in a bubble sort, make the divisors a chain
+    while any(diag[i + 1] % diag[i] for i in range(len(diag) - 1)):
+        for i in range(len(diag) - 1):
+            g = math.gcd(diag[i], diag[i + 1])
+            diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
+    return [1] * units + diag
 
 
-def _eliminate_units(mat: np.ndarray) -> tuple[int, np.ndarray]:
-    """Eliminate unit pivots of mat by exact sparse column operations.
-
-    Works on mat or on its transpose, whichever has fewer columns: both
-    have the same Smith form, and fewer, longer columns mean fewer column
-    operations and fewer heap entries.  A pivot u = +-1 at (p, j) clears
-    row p by subtracting multiples of column j from the other columns;
-    column j is then cleared by row operations that touch nothing else, so
-    the Smith form is a 1 followed by that of the block without row p and
-    column j.  Returns the number of pivots and the residual block as an
-    object array of Python ints (fill-in may exceed int64).
-    """
+def _short_side(mat: np.ndarray) -> tuple[list[dict[int, int]], dict[int, set[int]]]:
+    """The columns of mat, or of its transpose when that has fewer, as
+    {row: value} dicts of Python ints, and the set of columns of each row."""
     # the nonzeros of mat as given, in row-major order: a flat scan of a
     # bool mask is several times faster than two-dimensional np.nonzero,
     # and masks of a few rows at a time keep it from doubling the matrix
@@ -211,109 +278,12 @@ def _eliminate_units(mat: np.ndarray) -> tuple[int, np.ndarray]:
     nz = np.divmod(np.concatenate(flat), n)
     if n > m:
         nz, n = nz[::-1], m
-    cols: list[dict[int, int] | None] = [{} for _ in range(n)]
+    cols: list[dict[int, int]] = [{} for _ in range(n)]
     rows: dict[int, set[int]] = {}
     for i, j, v in zip(nz[0].tolist(), nz[1].tolist(), vals):
         cols[j][i] = v
         rows.setdefault(i, set()).add(j)
-    # shortest live column first; a column re-enters whenever it changes,
-    # and an entry whose length is stale is skipped
-    heap = [(len(col), j) for j, col in enumerate(cols) if col]
-    heapq.heapify(heap)
-    units = 0
-    while heap:
-        size, j = heapq.heappop(heap)
-        col = cols[j]
-        if col is None or len(col) != size:
-            continue
-        p = min(
-            (i for i, v in col.items() if v == 1 or v == -1),
-            key=lambda i: len(rows[i]),
-            default=None,
-        )
-        if p is None:
-            continue
-        # the pivot entry cancels in every column it clears, so it leaves
-        # the pivot column and the cleared columns before the loop
-        u = col.pop(p)
-        for k in rows.pop(p):
-            if k == j:
-                continue
-            other = cols[k]
-            f = other.pop(p) * u
-            for i, v in col.items():
-                w = other.get(i, 0) - f * v
-                if w:
-                    if i not in other:
-                        rows[i].add(k)
-                    other[i] = w
-                else:
-                    del other[i]
-                    rows[i].discard(k)
-            if other:
-                heapq.heappush(heap, (len(other), k))
-        for i in col:
-            rows[i].discard(j)
-        cols[j] = None
-        units += 1
-    live_rows = sorted(i for i, js in rows.items() if js)
-    live_cols = [j for j, col in enumerate(cols) if col]
-    where = {i: r for r, i in enumerate(live_rows)}
-    residual = np.zeros((len(live_rows), len(live_cols)), dtype=object)
-    for c, j in enumerate(live_cols):
-        for i, v in cols[j].items():
-            residual[where[i], c] = v
-    return units, residual
-
-
-def _smith_work(a: np.ndarray, guard: bool) -> list[int]:
-    # int64 stays exact while entries are below 2^30: one elimination step
-    # forms products of two entries, well inside 2^63
-    limit = 1 << 30
-    m, n = a.shape
-    diag: list[int] = []
-    t = 0
-    while t < min(m, n):
-        if guard and np.abs(a[t:, t:]).max(initial=0) > limit:
-            raise OverflowError
-        sub = a[t:, t:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
-            break
-        vals = np.abs(sub[nz])
-        k = int(np.argmin(vals))
-        i, j = int(nz[0][k]) + t, int(nz[1][k]) + t
-        if i != t:
-            a[[t, i], :] = a[[i, t], :]
-        if j != t:
-            a[:, [t, j]] = a[:, [j, t]]
-        if a[t, t] < 0:
-            a[t, :] = -a[t, :]
-        pivot = int(a[t, t])
-        col = a[t + 1:, t]
-        row = a[t, t + 1:]
-        if not col.any() and not row.any():
-            diag.append(pivot)
-            t += 1
-            continue
-        q = col // pivot
-        if q.any():
-            a[t + 1:, :] -= np.outer(q, a[t, :])
-        q = row // pivot
-        if q.any():
-            a[:, t + 1:] -= np.outer(a[:, t], q)
-    # any diagonal form repairs to the true normal form by pairwise
-    # gcd/lcm exchanges, which sort every prime's exponents into a chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            x, y = diag[i], diag[i + 1]
-            if y % x:
-                g = math.gcd(x, y)
-                diag[i], diag[i + 1] = g, x * y // g
-                changed = True
-    return [int(abs(d)) for d in diag]
+    return cols, rows
 
 
 @dataclass(frozen=True)

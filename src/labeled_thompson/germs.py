@@ -26,6 +26,15 @@ class LabelUndefined(ValueError):
     pass
 
 
+# a ConeSet hashes like the frozenset of its cones, which reads every cone
+# (2^20 take about a second); hashing more raises ConeSetTooLarge
+MAX_HASHED_CONES = 1 << 20
+
+
+class ConeSetTooLarge(ValueError):
+    pass
+
+
 def label_at(a: VPhiElement, u: str) -> GroupElement:
     """Label of a at the cone of u.
 
@@ -55,7 +64,7 @@ class ConeSet(Set):
     cones; `&`, `|` and `-` return frozensets.  Iteration is in lex order.
     Comparisons read sizes from `__len__()`, since `len()` refuses sizes
     past sys.maxsize, and decide containment between two ConeSets on
-    their blocks.
+    their blocks.  Hashing refuses sets of more than MAX_HASHED_CONES cones.
     """
 
     def __init__(self, depth: int, blocks):
@@ -135,7 +144,13 @@ class ConeSet(Set):
             return NotImplemented
         return self.__len__() == other.__len__() and self.__le__(other)
 
-    __hash__ = Set._hash
+    def __hash__(self):
+        if self.__len__() > MAX_HASHED_CONES:
+            raise ConeSetTooLarge(
+                f"a ConeSet of more than MAX_HASHED_CONES = {MAX_HASHED_CONES:,} "
+                "cones is not hashed"
+            )
+        return Set._hash(self)
 
     @classmethod
     def _from_iterable(cls, it):

@@ -134,7 +134,8 @@ class FiniteTableGroup(GroupBackend):
     """Cayley-table group on indices 0..n-1 with 0 the identity.
 
     The constructor checks the group axioms: a Latin square with identity
-    0 is a loop, and it is a group when it is associative (n^3 lookups).
+    0 is a loop, and it is a group when it is associative (Light's test,
+    O(n^2 log n) lookups).
     """
 
     kind = "finite-table"
@@ -144,21 +145,16 @@ class FiniteTableGroup(GroupBackend):
         self.table = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in self.table):
             raise ValueError("Cayley table must be square")
+        full, columns = list(range(n)), list(zip(*self.table))
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise ValueError("row/column 0 must realize the identity")
-            if sorted(self.table[i]) != list(range(n)) or sorted(
-                row[i] for row in self.table
-            ) != list(range(n)):
+            if sorted(self.table[i]) != full or sorted(columns[i]) != full:
                 raise ValueError("Cayley table is not a Latin square")
         self.n = n
         if not self.is_associative():
             raise ValueError("Cayley table is not associative")
-        self._inv = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == 0:
-                    self._inv[i] = j
+        self._inv = [row.index(0) for row in self.table]
         self.names = dict(names or {})
         self._name_of = {v: k for k, v in self.names.items()}
 
@@ -181,12 +177,24 @@ class FiniteTableGroup(GroupBackend):
         return iter(range(self.n))
 
     def is_associative(self) -> bool:
-        rng = range(self.n)
+        """Light's test.  The elements a with x(ay) = (xa)y for all x, y
+        are closed under products, so it suffices to check generators.  They
+        are picked greedily, each outside the closure of the ones before
+        under right multiplication; in a group each new one at least doubles
+        that subgroup, so a table that needs more than log2 n is no group."""
+        t, n = self.table, self.n
+        gens: list[int] = []
+        reached = {0}
+        while len(reached) < n:
+            if 2 << len(gens) > n:
+                return False
+            gens.append(min(set(range(n)) - reached))
+            new = reached
+            while new:
+                new = {t[x][g] for x in new for g in gens} - reached
+                reached |= new
         return all(
-            self.table[self.table[a][b]][c] == self.table[a][self.table[b][c]]
-            for a in rng
-            for b in rng
-            for c in rng
+            tuple(map(t[x].__getitem__, t[a])) == t[t[x][a]] for a in gens for x in range(n)
         )
 
     def format_element(self, v) -> str:
@@ -437,16 +445,21 @@ class ProductGroup(GroupBackend):
         return f"ProductGroup({self.factors!r})"
 
 
+def _rebased(G: GroupBackend) -> tuple[dict, list[list[int]]]:
+    """The index of each value of a finite G, sorted with the identity
+    first, and the Cayley table of G on those indices."""
+    values = sorted(G.element_values(), key=G.sort_key)
+    values.remove(G.identity_value())
+    values.insert(0, G.identity_value())
+    index = {v: i for i, v in enumerate(values)}
+    return index, [[index[G.mul(a, b)] for b in values] for a in values]
+
+
 def symmetric_table(m: int) -> FiniteTableGroup:
     """S_m as a Cayley table backend (identity at index 0)."""
     sym = SymmetricGroup(m)
-    values = sorted(sym.element_values())
-    values.remove(sym.identity_value())
-    values.insert(0, sym.identity_value())
-    index = {v: i for i, v in enumerate(values)}
-    table = [[index[sym.mul(a, b)] for b in values] for a in values]
-    names = {sym.format_element(v): i for v, i in index.items()}
-    return FiniteTableGroup(table, names=names)
+    index, table = _rebased(sym)
+    return FiniteTableGroup(table, names={sym.format_element(v): i for v, i in index.items()})
 
 
 def cyclic_table(n: int) -> FiniteTableGroup:
@@ -656,15 +669,9 @@ def injectivize(
         raise ValueError("tower may not stabilize: injectivize needs a finite group")
 
     # rebase onto a table backend, keeping the element correspondence
-    values = list(G.element_values())
-    values.sort(key=G.sort_key)
-    values.remove(G.identity_value())
-    values.insert(0, G.identity_value())
-    index = {v: i for i, v in enumerate(values)}
-    table = [[index[G.mul(a, b)] for b in values] for a in values]
+    proj, table = _rebased(G)  # original value -> current index
     cur = FiniteTableGroup(table)
-    proj = {v: index[v] for v in values}  # original value -> current index
-    cur_phi = _push_recursion(phi, cur, {v: index[v] for v in values}, values)
+    cur_phi = _push_recursion(phi, cur, proj, list(proj))
 
     steps = 0
     while not cur_phi.is_injective():

@@ -13,10 +13,23 @@ of ``SimplicialComplex``.
 before it formed whole position lists of faces: one dict lookup and one
 int8 cell write per face, each face sliced out of its simplex.
 
-``dense_smith`` is the dense-only Smith route that ``smith_diagonal`` used
-before sparse unit elimination: the whole matrix goes through
-``_smith_work``, in int64 while the guard allows and in exact big integers
-after that.
+``dense_smith`` is the dense Smith route that ``smith_diagonal`` once
+finished its residual with, kept here as its own copy and run on the whole
+matrix in exact object dtype: each step pivots on an entry of least
+absolute value anywhere in the block, swaps it to the corner and clears its
+row and column by floor quotients, and the diagonal found is put into a
+divisibility chain by gcd/lcm exchanges.  It shares no code with the
+library's sparse elimination.
+
+``inflation_homology`` gives the reduced homology of the descending link
+at height n without building it, from matching complexes alone.  The link
+is a complete join over M_n with q = 2|G| points in every fiber, so it is
+the q-inflation of M_n (Bjorner-Wachs-Welker, Trans. AMS 357, 2005), and
+the link of a j-edge matching in M_n is M_(n-2j):
+H~_k(link) = sum over j of H~_(k-j)(M_(n-2j))^(m_j(n) (q-1)^j), with m_j(n)
+the j-edge matchings of K_n and M_0 = M_1 = {empty face}, whose only
+reduced homology is H~_(-1) = Z.  It shares no code with either listing of
+the link.
 
 ``dlink_complex`` is the compose route that ``complexes.dlink_complex``
 replaced: it walks every raw ``(labels, sigma, carets)`` tuple, and every
@@ -33,7 +46,9 @@ forms or edge readers.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -41,8 +56,9 @@ from labeled_thompson.complexes import (
     DescendingLink,
     SimplicialComplex,
     _class_element,
-    _smith_work,
     _splitting,
+    homology,
+    matching_complex,
 )
 from labeled_thompson.diagrams import Context, LabeledDiagram
 from labeled_thompson.elements import GroupoidElement
@@ -89,12 +105,94 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> np.ndarray:
 
 
 def dense_smith(mat: np.ndarray) -> list[int]:
-    if mat.size == 0:
-        return []
-    try:
-        return _smith_work(mat.astype(np.int64, copy=True), guard=True)
-    except OverflowError:
-        return _smith_work(mat.astype(object, copy=True), guard=False)
+    a = mat.astype(object)  # a copy, of Python ints
+    m, n = a.shape
+    diag: list[int] = []
+    t = 0
+    while t < min(m, n):
+        sub = a[t:, t:]
+        nz = np.nonzero(sub)
+        if len(nz[0]) == 0:
+            break
+        k = int(np.argmin(np.abs(sub[nz])))
+        i, j = int(nz[0][k]) + t, int(nz[1][k]) + t
+        a[[t, i], :] = a[[i, t], :]
+        a[:, [t, j]] = a[:, [j, t]]
+        if a[t, t] < 0:
+            a[t, :] = -a[t, :]
+        pivot = a[t, t]
+        col = a[t + 1:, t]
+        row = a[t, t + 1:]
+        if not col.any() and not row.any():
+            diag.append(pivot)
+            t += 1
+            continue
+        # only the rows and columns with a nonzero quotient change
+        hit = np.flatnonzero(col // pivot)
+        a[t + 1 + hit, :] -= np.outer(col[hit] // pivot, a[t, :])
+        hit = np.flatnonzero(row // pivot)
+        a[:, t + 1 + hit] -= np.outer(a[:, t], row[hit] // pivot)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            x, y = diag[i], diag[i + 1]
+            if y % x:
+                g = math.gcd(x, y)
+                diag[i], diag[i + 1] = g, x * y // g
+                changed = True
+    return diag
+
+
+@functools.lru_cache(maxsize=None)
+def _matching_homology(m: int, d: int) -> tuple[int, tuple[int, ...]]:
+    """(Betti number, torsion) of H~_d(M_m), m >= 2 and d >= 0."""
+    cx = matching_complex(m)
+    if d > cx.dimension():
+        return 0, ()
+    res = homology(cx, d)
+    return res.betti[d], res.torsion[d]
+
+
+def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
+    """The invariant factors, each dividing the next, of the direct sum of
+    cyclic groups of the given orders: the largest power of each prime goes
+    to the last factor, the next largest to the one before, and so on."""
+    powers: dict[int, list[int]] = {}
+    for d in orders:
+        p = 2
+        while d > 1:
+            power = 1
+            while d % p == 0:
+                d //= p
+                power *= p
+            if power > 1:
+                powers.setdefault(p, []).append(power)
+            p += 1
+    factors = [1] * max(map(len, powers.values()), default=0)
+    for qs in powers.values():
+        for i, power in enumerate(sorted(qs, reverse=True)):
+            factors[-1 - i] *= power
+    return tuple(factors)
+
+
+def inflation_homology(n: int, q: int, up_to: int) -> tuple[dict, dict]:
+    """Reduced Betti numbers and torsion, degrees 0..up_to, of the
+    q-inflation of M_n, as the dicts of ``HomologyResult``."""
+    betti = dict.fromkeys(range(up_to + 1), 0)
+    orders: dict[int, list[int]] = {k: [] for k in range(up_to + 1)}
+    for j in range(n // 2 + 1):
+        m = n - 2 * j
+        matchings = math.factorial(n) // (math.factorial(j) * 2**j * math.factorial(m))
+        copies = matchings * (q - 1) ** j
+        for k in range(max(j - 1, 0), up_to + 1):
+            if m < 2:  # M_0 and M_1: Z in degree -1 only
+                betti[k] += copies * (k - j == -1)
+            elif k >= j:
+                b, torsion = _matching_homology(m, k - j)
+                betti[k] += copies * b
+                orders[k] += list(torsion) * copies
+    return betti, {k: _invariant_factors(orders[k]) for k in orders}
 
 
 def dlink_complex(ctx: Context, n: int) -> DescendingLink:

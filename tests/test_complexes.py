@@ -65,10 +65,9 @@ def test_smith_known_matrix():
     assert len(C.smith_diagonal(np.eye(4, dtype=np.int64))) == 4
 
 
-def test_smith_object_fallback():
-    # huge entries push past the int64 guard and must stay exact
+def test_smith_exact_past_int64():
+    # big * big - 1 is past int64 and must stay exact
     big = 1 << 40
-    mat = np.array([[big, 1], [1, big]], dtype=object)
     diag = C.smith_diagonal(np.array([[big, 1], [1, big]], dtype=np.int64))
     assert diag == [1, big * big - 1]
 
@@ -108,7 +107,7 @@ def test_sparse_smith_matches_sympy_and_dense(rng):
         got = C.smith_diagonal(mat)
         assert got == oracle.dense_smith(mat) == _sympy_diagonal(mat), mat
         torsion += any(d > 1 for d in got)
-    assert torsion >= 5  # the residual route ran, not only unit pivots
+    assert torsion >= 5  # non-unit pivots ran, not only unit pivots
 
 
 SHAPES = {
@@ -120,50 +119,68 @@ SHAPES = {
 }
 
 
-def test_smith_same_on_either_side(rng, monkeypatch):
-    """Unit elimination runs on the side with fewer columns: a wide matrix
+def test_smith_same_on_either_side(rng):
+    """The elimination runs on the side with fewer columns: a wide matrix
     is eliminated transposed, a tall one as given, and both must agree with
-    each other, the dense route and sympy, residual and fallback included."""
-    work = C._smith_work
-    guards = []
-
-    def spy(a, guard):
-        guards.append(guard)
-        return work(a, guard)
-
-    monkeypatch.setattr(C, "_smith_work", spy)
+    each other, the dense oracle and sympy, torsion included, and stay
+    exact where divisors pass int64."""
     seen = set()
     for t in range(100):
         kind = list(SHAPES)[t % len(SHAPES)]
         mat = _sparse_matrix(rng, big=t % 3 == 2, shape=SHAPES[kind](rng))
         got = []
         for side in (mat, mat.T):
-            guards.clear()
             got.append(C.smith_diagonal(side))
             eliminated = "transposed" if side.shape[1] > side.shape[0] else "as given"
             if any(d > 1 for d in got[-1]):
-                seen.add((eliminated, "torsion"))
-            if False in guards:
-                seen.add((eliminated, "object fallback"))
+                seen.add(eliminated)
         assert got[0] == got[1] == oracle.dense_smith(mat) == _sympy_diagonal(mat), (
             kind,
             mat,
         )
-    assert seen == {
-        (side, route)
-        for side in ("transposed", "as given")
-        for route in ("torsion", "object fallback")
-    }
+    assert seen == {"transposed", "as given"}  # torsion on both sides
+    # a divisor past int64, after a unit pivot and with no unit at all
+    b = 1 << 40
+    for wide, want in (
+        ([[b, 1, 0], [1, b, 0]], [1, b * b - 1]),
+        ([[b, 2, 0], [2, b, 0]], [2, (b * b - 4) // 2]),
+    ):
+        mat = np.array(wide, dtype=np.int64)
+        for side in (mat, mat.T):
+            got = C.smith_diagonal(side)
+            assert got == want == oracle.dense_smith(side) == _sympy_diagonal(side)
+            assert got[-1] > np.iinfo(np.int64).max
 
 
-def test_units_eliminated_on_the_short_side():
-    # no unit pivot here: the residual is the matrix itself, or its
-    # transpose when that has fewer columns; a square matrix stays as given
+def test_nonzeros_read_on_the_short_side():
+    # the columns are those of the matrix itself, or of its transpose when
+    # that has fewer; a square matrix stays as given
     for mat in (np.array([[2, 3, 0]]), np.array([[2], [3], [0]])):
-        units, residual = C._eliminate_units(mat)
-        assert units == 0 and residual.tolist() == [[2], [3]]
-    units, residual = C._eliminate_units(np.array([[2, 3], [0, 0]]))
-    assert units == 0 and residual.tolist() == [[2, 3]]
+        assert C._short_side(mat) == ([{0: 2, 1: 3}], {0: {0}, 1: {0}})
+    assert C._short_side(np.array([[2, 3], [0, 0]])) == ([{0: 2}, {0: 3}], {0: {0, 1}})
+
+
+def test_smith_without_units(rng):
+    """No entry is a unit, so every pivot is found by the least-absolute-
+    value search and its floor-quotient remainders, on either side."""
+    small = (0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6)
+    # with odd primes a remainder pivot often meets a smaller entry in its
+    # row, whose floor quotient is 0
+    primes = (0, 0, 2, -2, 3, -3, 5, -5, 7, -7, 9, -9)
+    for t in range(150):
+        values = small if t % 2 else primes
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        mat = np.array([[rng.choice(values) for _ in range(n)] for _ in range(m)])
+        want = oracle.dense_smith(mat)
+        assert C.smith_diagonal(mat) == C.smith_diagonal(mat.T) == want, mat
+        assert want == _sympy_diagonal(mat), mat
+    mat = np.array([[-3, 3, 7, -4, 3], [-3, 4, -3, 0, -6]])
+    assert C.smith_diagonal(mat) == C.smith_diagonal(mat.T) == [1, 1] == _sympy_diagonal(mat)
+    # gcd 1 from entries none of which is a unit
+    assert C.smith_diagonal(np.array([[2, 3], [4, 6]])) == [1]
+    assert C.smith_diagonal(np.array([[6, 0], [0, 4]])) == [2, 12]
+    # found as 2, 5, 12, 18: the gcd/lcm repair takes several passes
+    assert C.smith_diagonal(np.diag([12, 18, 2, 5])) == [1, 2, 6, 180]
 
 
 def test_sparse_smith_residual_past_int64():
@@ -598,6 +615,33 @@ def test_face_lookup_refuses_unknown_edges(z2_diag):
     split = rep * C._splitting(z2_diag, 2, [1])
     with pytest.raises(AssertionError, match="not one known caret edge"):
         C._face_vertex(link.orbits, {}, split.diagram)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("trivial", n) for n in (4, 5, 6, 7)]
+    + [("z2_diag", n) for n in (4, 5, 6)]
+    + [pytest.param("z2_diag", 7, marks=pytest.mark.slow)]
+    + [("z3_diag", 4), ("z3_diag", 5)],
+)
+def test_link_homology_matches_inflation_formula(name, n):
+    """Every degree of the link's homology, Betti numbers and torsion, as
+    the inflation formula gives it from matching complexes alone."""
+    ctx = DLINK_CONTEXTS[name]
+    link = C.dlink_complex(ctx, n)
+    top = link.complex.dimension()
+    res = C.homology(link.complex, top)
+    want = oracle.inflation_homology(n, 2 * ctx.backend.order(), top)
+    assert (res.betti, res.torsion) == want
+    if n == 7:  # the Z/3 of H~_1(M_7)
+        assert res.torsion[1] == (3,)
+
+
+def test_invariant_factors_of_a_direct_sum():
+    assert oracle._invariant_factors([]) == ()
+    assert oracle._invariant_factors([3, 3]) == (3, 3)
+    assert oracle._invariant_factors([2, 3]) == (6,)
+    assert oracle._invariant_factors([4, 2, 3, 9, 5]) == (6, 180)
 
 
 CLASS_COUNT_EXAMPLES = {

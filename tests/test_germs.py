@@ -253,6 +253,25 @@ def test_cone_set_compares_past_maxsize(z2_diag):
     assert time.perf_counter() - start < 1.0
 
 
+def test_cone_set_hash_refuses_large_sets(z2_diag, monkeypatch):
+    # 2^199 cones: the hash would read every one, and Set._hash would
+    # overflow on len(); it raises a named ValueError instead, at once
+    g = z2_diag.source_backend.element(1)
+    approx = G.lsupp_approx(E.lambda_u(z2_diag, "0", g), 200)
+    start = time.perf_counter()
+    for big in (approx, approx.included, G.ConeSet(21, [("", 21)])):
+        with pytest.raises(G.ConeSetTooLarge, match="MAX_HASHED_CONES"):
+            hash(big)
+    assert time.perf_counter() - start < 1.0
+    assert issubclass(G.ConeSetTooLarge, ValueError)
+    # the limit itself is admitted and hashes like the frozenset
+    monkeypatch.setattr(G, "MAX_HASHED_CONES", 16)
+    full = G.ConeSet(4, [("", 4)])
+    assert hash(full) == hash(frozenset(full))
+    with pytest.raises(G.ConeSetTooLarge):
+        hash(G.ConeSet(5, [("0", 4), ("10", 3)]))
+
+
 def _random_blocks(rng, depth, cone=""):
     """Disjoint blocks (cone, r) under `cone`, split at random."""
     pick = rng.random()

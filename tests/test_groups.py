@@ -62,6 +62,83 @@ def test_finite_table_validation():
 LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
 
+# a loop in which x(1y) = (x1)y for all x, y: 1 and 2 generate it, and
+# only the check of 2 shows that it is no group
+LOOP6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 3, 5, 4, 0, 1],
+    [3, 2, 4, 5, 1, 0],
+    [4, 5, 1, 0, 2, 3],
+    [5, 4, 0, 1, 3, 2],
+]
+
+
+def _associative_by_triples(table) -> bool:
+    """The n^3 check over every triple, the reference for Light's test."""
+    rng = range(len(table))
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]] for a in rng for b in rng for c in rng
+    )
+
+
+def _random_loop(rng, n: int) -> list[list[int]]:
+    """A Latin square with identity 0, filled cell by cell in random order
+    of values, backtracking on a dead end."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c: int) -> bool:
+        if c == len(cells):
+            return True
+        i, j = cells[c]
+        used = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            rows[i][j] = v
+            if fill(c + 1):
+                return True
+        rows[i][j] = None
+        return False
+
+    assert fill(0)
+    return rows
+
+
+def _relabelled(table, rng) -> list[list[int]]:
+    """The table under a random relabelling that keeps 0 the identity."""
+    perm = [0] + rng.sample(range(1, len(table)), len(table) - 1)
+    back = {v: i for i, v in enumerate(perm)}
+    return [[perm[table[back[x]][back[y]]] for y in range(len(perm))] for x in range(len(perm))]
+
+
+def test_light_test_matches_the_triple_check():
+    """Light's test in the constructor agrees with the n^3 check on group
+    tables, relabelled ones included, and on random loops."""
+    rng = random.Random(7)
+    groups = [cyclic_table(n).table for n in range(1, 13)]
+    groups += [symmetric_table(3).table, symmetric_table(4).table]
+    groups += [
+        [[i ^ j for j in range(8)] for i in range(8)],  # (Z/2)^3, three generators
+        [[(i + j) % 2 + 2 * ((i // 2 + j // 2) % 4) for j in range(8)] for i in range(8)],
+    ]
+    groups += [_relabelled(t, rng) for t in groups for _ in range(3)]
+    for table in groups:
+        assert _associative_by_triples(table)
+        assert FiniteTableGroup(table).is_associative()
+    verdicts = []
+    for t in range(300):
+        table = LOOP6 if t == 0 else _random_loop(rng, 2 + t % 7)
+        verdicts.append(_associative_by_triples(table))
+        if verdicts[-1]:
+            assert FiniteTableGroup(table).is_associative()
+        else:
+            with pytest.raises(ValueError, match="not associative"):
+                FiniteTableGroup(table)
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 10
+
+
 def test_cyclic_groups():
     z5 = CyclicGroup(5)
     assert (z5.element(3) * z5.element(4)).value == 2
