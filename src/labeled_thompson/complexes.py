@@ -13,18 +13,21 @@ forgetful map.  In the first, a face is the groupoid product of a class
 representative with a splitter of all but one caret, and its vertex is
 looked up by the edge of the one caret left, read off the product's
 columns; the representatives are built unchecked, as they are valid and
-reduced by construction.  Homology
-uses Smith normal form over the integers, by one sparse elimination over
-Python ints on the boundary matrix or its transpose, whichever has fewer
-columns (a matrix and its transpose share the Smith form, and d_k of a
-matching complex is several times wider than tall): unit pivots first, then
-pivots of least absolute value.  Boundary matrices are built a whole face
-position at a time, looking faces up as vertex tuples, so no numeric face
-code can overflow.
+reduced by construction.  Homology first
+deletes unit pairs across the whole truncated chain complex, coreductions
+and free faces (Mrozek-Batko, Discrete Comput. Geom. 41, 2009), which
+change no other entry, and then takes the Smith normal form over the
+integers of what is left of each boundary matrix, by one sparse
+elimination over Python ints on the matrix or its transpose, whichever has
+fewer columns (a matrix and its transpose share the Smith form): unit
+pivots first, then pivots of least absolute value.  Boundary matrices are
+built a whole face position at a time, looking faces up as vertex tuples,
+so no numeric face code can overflow.
 """
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
@@ -162,14 +165,15 @@ def smith_diagonal(mat: np.ndarray) -> list[int]:
 
     One sparse elimination, exact over Python ints, on mat or on its
     transpose, whichever has fewer columns: the transpose has the same
-    Smith form, and fewer columns mean fewer column operations (d_2 of
-    M_10 is 630 x 3150 and is eliminated transposed).  A pivot u at (p, j)
-    clears row p by column operations and then column j by row operations
-    that touch nothing else, leaving |u| and the block without row p and
-    column j.  Unit pivots come first (Dumas-Saunders-Villard, J. Symbolic
-    Comput. 2001): the shortest column, within it the +-1 entry whose row
-    is shortest.  When no unit is left, the pivot is an entry of least
-    absolute value and the operations subtract floor quotients: column
+    Smith form, and fewer columns mean fewer column operations (the 48 x 68
+    residual of d_2 of M_7 that `homology` passes is eliminated
+    transposed).  A pivot u at (p, j) clears row p by column operations and
+    then column j by row operations that touch nothing else, leaving |u|
+    and the block without row p and column j.  Unit pivots come first
+    (Dumas-Saunders-Villard, J. Symbolic Comput. 2001): the shortest
+    column, within it the +-1 entry whose row is shortest.  When no unit is
+    left, the pivot is an entry of least absolute value among the columns
+    still live, and the operations subtract floor quotients: column
     operations leave remainders in row p, and once row p holds the pivot
     alone, row operations leave them in column j.  A nonzero remainder is
     smaller than the pivot and becomes the next one.
@@ -181,6 +185,7 @@ def smith_diagonal(mat: np.ndarray) -> list[int]:
     # and an entry whose length is stale is skipped
     heap = [(len(col), j) for j, col in enumerate(cols) if col]
     heapq.heapify(heap)
+    live = {j for _, j in heap}  # the columns not yet pivoted or emptied
 
     def subtract(col, f, k):
         """Column k -= f * col, keeping the row sets."""
@@ -196,6 +201,8 @@ def smith_diagonal(mat: np.ndarray) -> list[int]:
                 rows[i].discard(k)
         if other:
             heapq.heappush(heap, (len(other), k))
+        else:
+            live.discard(k)
 
     units = 0
     diag: list[int] = []
@@ -221,11 +228,12 @@ def smith_diagonal(mat: np.ndarray) -> list[int]:
             for i in col:
                 rows[i].discard(j)
             cols[j] = None
+            live.discard(j)
             units += 1
         # no unit left: pivot on an entry of least absolute value, in the
         # shortest column that has one and, within it, the shortest row
         *_, j = min(
-            ((min(map(abs, col.values())), len(col), j) for j, col in enumerate(cols) if col),
+            ((min(map(abs, cols[j].values())), len(cols[j]), j) for j in live),
             default=(None,),
         )
         if j is None:
@@ -250,6 +258,7 @@ def smith_diagonal(mat: np.ndarray) -> list[int]:
             p = min((i for i in col if i != p), key=lambda i: abs(col[i]))
         del rows[p]
         cols[j] = None
+        live.discard(j)
         diag.append(abs(u))
     # a gcd/lcm exchange of neighbours sorts each prime's exponents in the
     # pair, so passes of them, as in a bubble sort, make the divisors a chain
@@ -260,12 +269,14 @@ def smith_diagonal(mat: np.ndarray) -> list[int]:
     return [1] * units + diag
 
 
-def _short_side(mat: np.ndarray) -> tuple[list[dict[int, int]], dict[int, set[int]]]:
-    """The columns of mat, or of its transpose when that has fewer, as
-    {row: value} dicts of Python ints, and the set of columns of each row."""
-    # the nonzeros of mat as given, in row-major order: a flat scan of a
-    # bool mask is several times faster than two-dimensional np.nonzero,
-    # and masks of a few rows at a time keep it from doubling the matrix
+def _nonzeros(mat: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Row indices, column indices and values of the nonzeros of mat, in
+    row-major order, as lists of Python ints."""
+    if not mat.size:
+        return [], [], []
+    # a flat scan of a bool mask is several times faster than
+    # two-dimensional np.nonzero, and masks of a few rows at a time keep it
+    # from doubling the matrix
     m, n = mat.shape
     step = 1 + (1 << 16) // n
     flat, vals = [], []
@@ -274,16 +285,79 @@ def _short_side(mat: np.ndarray) -> tuple[list[dict[int, int]], dict[int, set[in
         hit = np.flatnonzero(block != 0)
         flat.append(hit + r * n)
         vals += block[hit].tolist()
-    # the transpose swaps the two index lists
-    nz = np.divmod(np.concatenate(flat), n)
-    if n > m:
-        nz, n = nz[::-1], m
+    rows, cols = np.divmod(np.concatenate(flat), n)
+    return rows.tolist(), cols.tolist(), vals
+
+
+def _short_side(mat: np.ndarray) -> tuple[list[dict[int, int]], dict[int, set[int]]]:
+    """The columns of mat, or of its transpose when that has fewer, as
+    {row: value} dicts of Python ints, and the set of columns of each row."""
+    m, n = mat.shape
+    nz_rows, nz_cols, vals = _nonzeros(mat)
+    if n > m:  # the transpose swaps the two index lists
+        nz_rows, nz_cols, n = nz_cols, nz_rows, m
     cols: list[dict[int, int]] = [{} for _ in range(n)]
     rows: dict[int, set[int]] = {}
-    for i, j, v in zip(nz[0].tolist(), nz[1].tolist(), vals):
+    for i, j, v in zip(nz_rows, nz_cols, vals):
         cols[j][i] = v
         rows.setdefault(i, set()).add(j)
     return cols, rows
+
+
+def _pair_off(mats: Sequence[np.ndarray]) -> tuple[list[int], list[list[int]]]:
+    """Delete the unit pairs that change no other entry from the chain
+    complex whose boundary from level k + 1 to level k is mats[k].
+
+    A pair is (s, t), t one level above s, with a +-1 entry at row s and
+    column t of some mats[k], where t has no other live face (a
+    coreduction) or s no other live coface (a free face).  The queue is
+    seeded by level and index, so a simplicial complex pairs its empty
+    simplex with a vertex first, and a neighbour of a deleted pair is
+    queued again when its live faces or cofaces drop to one.  Returns, for
+    each k, the number of pairs inside mats[k], and for each level, the
+    cells left live, in order.
+    """
+    sizes = [mats[0].shape[0]] + [mat.shape[1] for mat in mats]
+    # live faces and cofaces of each cell, {neighbour: entry}; a deleted
+    # cell's are None, and it is dropped from its neighbours' dicts
+    faces = [[{} for _ in range(n)] for n in sizes]
+    cofaces = [[{} for _ in range(n)] for n in sizes]
+    for k, mat in enumerate(mats):
+        up, down = cofaces[k], faces[k + 1]
+        for i, j, v in zip(*_nonzeros(mat)):
+            up[i][j] = v
+            down[j][i] = v
+    queue = collections.deque(
+        (k, j)
+        for k, n in enumerate(sizes)
+        for j in range(n)
+        if len(faces[k][j]) == 1 or len(cofaces[k][j]) == 1
+    )
+
+    def delete(k, j):
+        for near, other, back in ((faces, k - 1, cofaces), (cofaces, k + 1, faces)):
+            for i in near[k][j]:
+                theirs = back[other][i]
+                del theirs[j]
+                if len(theirs) == 1:
+                    queue.append((other, i))
+        faces[k][j] = cofaces[k][j] = None
+
+    pairs = [0] * len(mats)
+    while queue:
+        k, j = queue.popleft()
+        if faces[k][j] is None:
+            continue
+        for other, near in ((k - 1, faces[k][j]), (k + 1, cofaces[k][j])):
+            if len(near) == 1:
+                (i, v), = near.items()
+                if v == 1 or v == -1:
+                    delete(k, j)
+                    delete(other, i)
+                    pairs[min(k, other)] += 1
+                    break
+    live = [[j for j, near in enumerate(level) if near is not None] for level in faces]
+    return pairs, live
 
 
 @dataclass(frozen=True)
@@ -314,6 +388,22 @@ def homology(cx: SimplicialComplex, up_to: int) -> HomologyResult:
     set of nontrivial elementary divisors of d_{k+1}.  `up_to` may not
     exceed the number of vertices: no simplex on v vertices has dimension
     v or more, so every further group is zero.
+
+    The elementary divisors come from the chain complex truncated after
+    the (up_to + 1)-simplices, its levels running from the empty simplex
+    up, once `_pair_off` has deleted its unit pairs.  A pair (s, t) has an
+    entry u = +-1 at row s, column t of some d_k; write b for the rest of
+    row s, c for the rest of column t and D for the rest of d_k.  Deleting
+    it is exact:
+
+    - within d_k, the Schur complement D - c u^-1 b equals D, since c = 0
+      when s is t's only live face and b = 0 when t is s's only live coface;
+    - in d_(k+1), row t is an integer combination of the other rows, as
+      d_k d_(k+1) = 0 and u = +-1; in d_(k-1), column s is likewise one of
+      the other columns, so neither deletion changes a Smith form.
+
+    So SNF(d_k) = [1]^(p_k) + SNF(d_k on the cells left live), with p_k
+    the pairs inside d_k, and only that residual is eliminated.
     """
     if up_to > len(cx.vertices):
         raise ValueError(
@@ -333,8 +423,12 @@ def homology(cx: SimplicialComplex, up_to: int) -> HomologyResult:
     torsion: dict[int, tuple[int, ...]] = {}
     ranks: dict[int, int] = {}
     divisors: dict[int, list[int]] = {}
-    for k in range(up_to + 2):
-        divisors[k] = smith_diagonal(cx.boundary_matrix(k))
+    mats = [cx.boundary_matrix(k) for k in range(up_to + 2)]
+    pairs, live = _pair_off(mats)
+    for k, mat in enumerate(mats):
+        # rows, then columns: one gather per axis is faster than np.ix_
+        residual = mat[live[k]][:, live[k + 1]]
+        divisors[k] = [1] * pairs[k] + smith_diagonal(residual)
         ranks[k] = len(divisors[k])
     for k in range(up_to + 1):
         kernel = f[k + 1] - ranks[k]
@@ -348,11 +442,15 @@ def homology(cx: SimplicialComplex, up_to: int) -> HomologyResult:
 
 
 def _check_euler(cx: SimplicialComplex, res: HomologyResult, up_to: int):
-    """Euler consistency on the full complex when it was fully resolved."""
+    """Euler consistency on the full complex when it was fully resolved.
+
+    The empty simplex counts in dimension -1 on both sides: the complex
+    with no vertices has H~_(-1) = Z, which `res` does not list."""
     if up_to < cx.dimension():
         return
     chi_faces = sum((-1) ** k * f for k, f in enumerate(cx.f_vector())) - 1
     chi_homology = sum((-1) ** k * b for k, b in res.betti.items())
+    chi_homology -= not cx.vertices
     if chi_faces != chi_homology:
         raise AssertionError("Euler characteristic mismatch")
 

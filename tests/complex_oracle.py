@@ -21,6 +21,12 @@ row and column by floor quotients, and the diagonal found is put into a
 divisibility chain by gcd/lcm exchanges.  It shares no code with the
 library's sparse elimination.
 
+``homology_by_smith`` is the per-matrix route that ``complexes.homology``
+took before it deleted unit pairs across the chain complex: one Smith
+elimination of each whole boundary matrix d_0 .. d_(up_to+1), called as
+``complexes.smith_diagonal`` so that a test can spy on it, and the Betti
+numbers and torsion read off their diagonals.
+
 ``inflation_homology`` gives the reduced homology of the descending link
 at height n without building it, from matching complexes alone.  The link
 is a complete join over M_n with q = 2|G| points in every fiber, so it is
@@ -52,8 +58,10 @@ import math
 
 import numpy as np
 
+from labeled_thompson import complexes
 from labeled_thompson.complexes import (
     DescendingLink,
+    HomologyResult,
     SimplicialComplex,
     _class_element,
     _splitting,
@@ -142,6 +150,15 @@ def dense_smith(mat: np.ndarray) -> list[int]:
                 diag[i], diag[i + 1] = g, x * y // g
                 changed = True
     return diag
+
+
+def homology_by_smith(cx: SimplicialComplex, up_to: int) -> HomologyResult:
+    f = [1] + cx.f_vector() + [0] * (up_to + 2)
+    divisors = [complexes.smith_diagonal(cx.boundary_matrix(k)) for k in range(up_to + 2)]
+    ranks = [len(diagonal) for diagonal in divisors]
+    betti = {k: f[k + 1] - ranks[k] - ranks[k + 1] for k in range(up_to + 1)}
+    torsion = {k: tuple(d for d in divisors[k + 1] if d > 1) for k in range(up_to + 1)}
+    return HomologyResult(betti, torsion, tuple(cx.f_vector()))
 
 
 @functools.lru_cache(maxsize=None)

@@ -192,6 +192,15 @@ def test_complex_and_homology(tmp_path, capsys):
     assert data == [{"dim": 0, "betti": 0, "torsion": []}]
 
 
+def test_homology_of_the_empty_complex(tmp_path, capsys):
+    # H~_(-1) = Z of the empty complex is counted by the Euler check
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "maximal": []}))
+    assert main(["--json", "homology", str(path), "--up-to", "0"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == [{"dim": 0, "betti": 0, "torsion": []}] and err == ""
+
+
 def test_homology_refuses_dimensions_past_the_vertex_count(tmp_path, capsys):
     out = tmp_path / "m5.json"
     assert main(["complex", "matching", "-n", "5", "-o", str(out)]) == 0

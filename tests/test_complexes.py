@@ -183,6 +183,21 @@ def test_smith_without_units(rng):
     assert C.smith_diagonal(np.diag([12, 18, 2, 5])) == [1, 2, 6, 180]
 
 
+def test_smith_non_unit_pivots_on_many_blocks(rng):
+    """40 non-unit 2 x 2 blocks on the diagonal: each block needs its own
+    least-absolute-value pivots, found among the columns still live."""
+    values = (2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
+    mat = np.zeros((80, 80), dtype=np.int64)
+    for b in range(40):
+        scale = (1, 2, 3)[b % 3]  # torsion in two blocks of three
+        block = [[scale * rng.choice(values) for _ in range(2)] for _ in range(2)]
+        mat[2 * b:2 * b + 2, 2 * b:2 * b + 2] = block
+    want = oracle.dense_smith(mat)
+    assert want == _sympy_diagonal(mat)
+    assert sum(d > 1 for d in want) >= 20
+    assert C.smith_diagonal(mat) == C.smith_diagonal(mat.T) == want
+
+
 def test_sparse_smith_residual_past_int64():
     # eliminating the unit at (0, 0) leaves 1 - b^2, past int64 and
     # divisible by 3, next to a residual 3
@@ -301,24 +316,44 @@ def test_homology_cone_and_circle():
     assert res.betti == {0: 0, 1: 1}
 
 
+# the 6-vertex antipodal icosahedron quotient: 10 triangles, 15 edges,
+# every edge shared by exactly two triangles
+RP2_TRIANGLES = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5),
+]
+
+
+def _projective_plane() -> C.SimplicialComplex:
+    return C.SimplicialComplex(
+        list(range(1, 7)), [tuple(v - 1 for v in t) for t in RP2_TRIANGLES]
+    )
+
+
 def test_homology_projective_plane_torsion():
-    # 6-vertex antipodal icosahedron quotient: 10 triangles, 15 edges,
-    # every edge shared by exactly two triangles
-    triangles = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-        (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5),
-    ]
     edge_count: dict[tuple, int] = {}
-    for t in triangles:
+    for t in RP2_TRIANGLES:
         for e in itertools.combinations(t, 2):
             edge_count[e] = edge_count.get(e, 0) + 1
     assert len(edge_count) == 15 and all(c == 2 for c in edge_count.values())
-    verts = list(range(1, 7))
-    idx = {v: i for i, v in enumerate(verts)}
-    cx = C.SimplicialComplex(verts, [tuple(idx[v] for v in t) for t in triangles])
-    res = C.homology(cx, 2)
+    res = C.homology(_projective_plane(), 2)
     assert res.betti == {0: 0, 1: 0, 2: 0}
     assert res.torsion[1] == (2,)
+
+
+def test_homology_of_the_empty_complex():
+    """No vertices: the empty simplex is a cycle that bounds nothing, so
+    H~_(-1) = Z, which the Euler check counts; every listed group is zero."""
+    for simplices in ([], [()]):
+        res = C.homology(C.SimplicialComplex([], simplices), 0)
+        assert res == C.HomologyResult({0: 0}, {0: ()}, ())
+    empty = C.SimplicialComplex([], [])
+    with pytest.raises(AssertionError, match="Euler characteristic mismatch"):
+        C._check_euler(empty, C.HomologyResult({0: 1}, {0: ()}), 0)
+    point = C.SimplicialComplex(["a"], [])
+    assert C.homology(point, 0).betti == {0: 0}
+    with pytest.raises(AssertionError, match="Euler characteristic mismatch"):
+        C._check_euler(point, C.HomologyResult({0: 1}, {0: ()}), 0)
 
 
 def test_euler_consistency_random(rng):
@@ -642,6 +677,173 @@ def test_invariant_factors_of_a_direct_sum():
     assert oracle._invariant_factors([3, 3]) == (3, 3)
     assert oracle._invariant_factors([2, 3]) == (6,)
     assert oracle._invariant_factors([4, 2, 3, 9, 5]) == (6, 180)
+
+
+# -- unit pairs across the chain complex -----------------------------------------
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """Every matrix passed to `complexes.smith_diagonal`, as (shape,
+    nonzeros), so a test sees which route `homology` and the oracle took."""
+    calls = []
+    smith = C.smith_diagonal
+
+    def spy(mat):
+        calls.append(_seen(mat))
+        return smith(mat)
+
+    monkeypatch.setattr(C, "smith_diagonal", spy)
+    return calls
+
+
+def _seen(mat: np.ndarray) -> tuple:
+    return mat.shape, int(np.count_nonzero(mat))
+
+
+def _admitted_bounds(cx: C.SimplicialComplex) -> list[int]:
+    """Every up_to from 0 to one past the top whose boundaries
+    MAX_BOUNDARY_CELLS admits."""
+    f = [1] + cx.f_vector() + [0, 0, 0]
+    return [
+        up_to
+        for up_to in range(cx.dimension() + 2)
+        if all(f[k] * f[k + 1] <= C.MAX_BOUNDARY_CELLS for k in range(up_to + 2))
+    ]
+
+
+def _assert_pairs_exact(cx, up_to, smith_calls, full=None) -> list[np.ndarray]:
+    """[1] * p_k + the Smith diagonal of d_k's residual is the Smith
+    diagonal of the whole d_k, for every k; `homology` eliminates the
+    residuals alone and agrees with the per-matrix oracle, which eliminates
+    the whole matrices.  `full` caches whole-matrix diagonals by k across
+    bounds.  Returns the residuals."""
+    full = {} if full is None else full
+    mats = [cx.boundary_matrix(k) for k in range(up_to + 2)]
+    pairs, live = C._pair_off(mats)
+    # a pair inside d_k deletes one cell of level k and one of level k + 1
+    sizes = [1] + [mat.shape[1] for mat in mats]
+    for level, cells in enumerate(live):
+        below = pairs[level - 1] if level else 0
+        above = pairs[level] if level < len(pairs) else 0
+        assert len(cells) == sizes[level] - below - above
+    residuals = [mat[np.ix_(live[k], live[k + 1])] for k, mat in enumerate(mats)]
+    for k, mat in enumerate(mats):
+        if k not in full:
+            full[k] = C.smith_diagonal(mat)
+        assert [1] * pairs[k] + C.smith_diagonal(residuals[k]) == full[k], k
+    smith_calls.clear()
+    got = C.homology(cx, up_to)
+    assert smith_calls == [_seen(r) for r in residuals]
+    smith_calls.clear()
+    assert oracle.homology_by_smith(cx, up_to) == got
+    assert smith_calls == [_seen(mat) for mat in mats]
+    return residuals
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pairs_exact_on_matching_complexes(n, smith_calls):
+    cx = C.matching_complex(n)
+    full: dict = {}
+    bounds = _admitted_bounds(cx)
+    assert bounds == list(range(cx.dimension() + 2))  # every bound through M_10
+    for up_to in bounds:
+        _assert_pairs_exact(cx, up_to, smith_calls, full)
+
+
+def test_pairs_exact_on_random_complexes(rng, smith_calls):
+    for _ in range(300):
+        cx = _random_complex(rng)
+        _assert_pairs_exact(cx, cx.dimension(), smith_calls)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in DLINK_CONTEXTS for n in (4, 5, 6) if not name.startswith("s3")]
+    + [(name, n) for name in ("s3_diag", "s3_sign") for n in (4, 5)]
+    # about 4 s to build each S3 link at n=6, and 1 s for Z/2 at n=7
+    + [pytest.param(name, 6, marks=pytest.mark.slow) for name in ("s3_diag", "s3_sign")]
+    + [pytest.param("z2_diag", 7, marks=pytest.mark.slow)],
+)
+def test_pairs_exact_on_links(name, n, smith_calls):
+    cx = C.dlink_complex(DLINK_CONTEXTS[name], n).complex
+    full: dict = {}
+    for up_to in _admitted_bounds(cx):
+        _assert_pairs_exact(cx, up_to, smith_calls, full)
+
+
+def test_pair_residuals_of_known_complexes(smith_calls):
+    """The residuals left once every pair is deleted, as (shape, nonzeros)
+    by k, and the torsion that only they can carry."""
+    circles = C.SimplicialComplex(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    tetrahedron = C.SimplicialComplex(range(4), list(itertools.combinations(range(4), 3)))
+    cases = [
+        # the empty simplex pairs a vertex of the first circle only, so the
+        # second keeps its vertices and edges
+        (circles, 1, {1: ((3, 4), 6)}, {0: 1, 1: 2}, {}),
+        (_projective_plane(), 2, {2: ((5, 5), 10)}, {}, {1: (2,)}),
+        (C.matching_complex(7), 1, {2: ((48, 68), 144)}, {}, {1: (3,)}),
+        # one top cell survives, with no boundary left: H~_2 = Z
+        (tetrahedron, 2, {2: ((0, 1), 0)}, {2: 1}, {}),
+    ]
+    for cx, up_to, shapes, betti, torsion in cases:
+        residuals = _assert_pairs_exact(cx, up_to, smith_calls)
+        for k, want in shapes.items():
+            assert _seen(residuals[k]) == want, k
+        others = [_seen(r) for k, r in enumerate(residuals) if k not in shapes]
+        assert all(not nonzeros for _, nonzeros in others)
+        res = C.homology(cx, up_to)
+        assert {k: b for k, b in res.betti.items() if b} == betti
+        assert {k: t for k, t in res.torsion.items() if t} == torsion
+    # every cell below the top level pairs off: no residual has a row
+    for n in (9, 10):
+        residuals = _assert_pairs_exact(C.matching_complex(n), 1, smith_calls)
+        assert [r.shape[0] for r in residuals] == [0, 0, 0]
+
+
+def _unimodular(rng, n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random integer matrix of determinant +-1 and its inverse, as a
+    product of row additions and sign flips."""
+    p, inv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        a = rng.choice((1, -1, 2, -2, 3))
+        p[i] += a * p[j]
+        inv[:, j] -= a * inv[:, i]
+    if n:
+        flip = rng.randrange(n)
+        p[flip] *= -1
+        inv[:, flip] *= -1
+    assert (p @ inv == np.eye(n, dtype=np.int64)).all()
+    return p, inv
+
+
+def test_pairs_exact_on_chain_complexes_with_non_unit_entries(rng):
+    """A change of basis P_k in every level keeps a chain complex and its
+    Smith forms, d_k -> P_k d_k P_(k+1)^-1, and puts entries other than 0
+    and +-1 into it: pairs over them must not be taken."""
+    # the cellular chain complex of RP^2, one cell in each dimension with
+    # d_2 = 2: its top cell has one face and that face one coface, over the 2
+    mats = [np.ones((1, 1), np.int64), np.zeros((1, 1), np.int64), np.array([[2]])]
+    pairs, live = C._pair_off(mats)
+    assert pairs == [1, 0, 0] and live == [[], [], [0], [0]]
+    non_units = 0
+    for _ in range(200):
+        cx = _random_complex(rng)
+        mats = [cx.boundary_matrix(k).astype(np.int64) for k in range(cx.dimension() + 2)]
+        sizes = [1] + [mat.shape[1] for mat in mats]
+        bases = [_unimodular(rng, n, rng.randint(0, 3)) for n in sizes]
+        mats = [bases[k][0] @ mat @ bases[k + 1][1] for k, mat in enumerate(mats)]
+        for k in range(len(mats) - 1):
+            assert not (mats[k] @ mats[k + 1]).any()
+        non_units += sum(int((abs(mat) > 1).sum()) for mat in mats)
+        pairs, live = C._pair_off(mats)
+        for k, mat in enumerate(mats):
+            residual = mat[np.ix_(live[k], live[k + 1])]
+            want = C.smith_diagonal(mat)
+            assert [1] * pairs[k] + C.smith_diagonal(residual) == want, (k, mat)
+            assert want == oracle.dense_smith(mat)
+    assert non_units > 200
 
 
 CLASS_COUNT_EXAMPLES = {
