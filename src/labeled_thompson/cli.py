@@ -13,8 +13,9 @@ MAX_SPLINTER_WORK = 2^23, since its time grows with all three, and an
 --elements count past MAX_SPLINTER_ELEMENTS = 2^14, since each element costs
 a faithfulness walk of its own; `complex` likewise refuses complexes past
 the size limits of `complexes`, counted exactly, `homology` boundary
-matrices past MAX_BOUNDARY_CELLS, and an expression power any product past
-MAX_POWER_COLUMNS columns.
+matrices past MAX_BOUNDARY_CELLS and complex files whose maximal simplices
+have more than MAX_FACE_ENTRIES face entries, and an expression power any
+product past MAX_POWER_COLUMNS columns.
 """
 
 from __future__ import annotations

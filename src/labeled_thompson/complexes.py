@@ -19,8 +19,10 @@ and free faces (Mrozek-Batko, Discrete Comput. Geom. 41, 2009), which
 change no other entry, and then takes the Smith normal form over the
 integers of what is left of each boundary matrix, by one sparse
 elimination over Python ints on the matrix or its transpose, whichever has
-fewer columns (a matrix and its transpose share the Smith form): unit
-pivots first, then pivots of least absolute value.  Boundary matrices are
+fewer columns (a matrix and its transpose share the Smith form), every
+pivot an entry of least absolute value, so units come first.  A JSON
+complex whose maximal simplices have more than MAX_FACE_ENTRIES face
+entries is refused before its faces are listed.  Boundary matrices are
 built a whole face position at a time, looking faces up as vertex tuples,
 so no numeric face code can overflow.
 """
@@ -48,6 +50,10 @@ MAX_DLINK_CLASSES = 1 << 16
 # dense one-byte cells of one boundary matrix that `homology` builds: d_2
 # of M_12 (20,582,100) is admitted, d_3 of M_12 (720,373,500) refused
 MAX_BOUNDARY_CELLS = 1 << 25
+# vertex entries of the faces of a JSON complex's maximal simplices, repeats
+# included: M_14, the largest that `ltg complex` writes, has 60,540,480, and
+# one simplex on 22 vertices 46,137,344; one on 23 is refused
+MAX_FACE_ENTRIES = 1 << 26
 
 
 class SimplicialComplex:
@@ -157,7 +163,16 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "SimplicialComplex":
-        return cls(data["vertices"], [tuple(s) for s in data["maximal"]])
+        """Refuses, before any face is listed, maximal simplices s whose
+        faces hold more than MAX_FACE_ENTRIES vertex entries, sum |s| 2^(|s|-1)."""
+        maximal = [tuple(s) for s in data["maximal"]]
+        entries = sum(len(s) << len(s) for s in maximal) // 2
+        if entries > MAX_FACE_ENTRIES:
+            raise ValueError(
+                f"the faces of the maximal simplices hold {entries:,} vertex "
+                f"entries, more than MAX_FACE_ENTRIES = {MAX_FACE_ENTRIES:,}"
+            )
+        return cls(data["vertices"], maximal)
 
 
 def smith_diagonal(mat: np.ndarray) -> list[int]:
@@ -167,28 +182,27 @@ def smith_diagonal(mat: np.ndarray) -> list[int]:
     transpose, whichever has fewer columns: the transpose has the same
     Smith form, and fewer columns mean fewer column operations (the 48 x 68
     residual of d_2 of M_7 that `homology` passes is eliminated
-    transposed).  A pivot u at (p, j) clears row p by column operations and
-    then column j by row operations that touch nothing else, leaving |u|
-    and the block without row p and column j.  Unit pivots come first
-    (Dumas-Saunders-Villard, J. Symbolic Comput. 2001): the shortest
-    column, within it the +-1 entry whose row is shortest.  When no unit is
-    left, the pivot is an entry of least absolute value among the columns
-    still live, and the operations subtract floor quotients: column
-    operations leave remainders in row p, and once row p holds the pivot
-    alone, row operations leave them in column j.  A nonzero remainder is
-    smaller than the pivot and becomes the next one.
+    transposed).  One rule picks the pivots, least absolute value first: the
+    column of least (least |entry|, length, index) comes off one heap, and
+    in it the entry of least (|entry|, row length), so +-1 pivots come first,
+    shortest columns first (Dumas-Saunders-Villard, J. Symbolic Comput.
+    2001).  A pivot u at (p, j) clears row p by column operations that
+    subtract floor quotients, leaving remainders in row p; once row p holds
+    u alone, row operations touch only column j and leave remainders there.
+    A nonzero remainder is smaller than u and becomes the next pivot; with
+    u = +-1 there is none, so a unit pivot takes one round.
     """
-    if mat.size == 0:
-        return []
     cols, rows = _short_side(mat)
-    # shortest live column first; a column re-enters whenever it changes,
-    # and an entry whose length is stale is skipped
-    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    # heap entries are (least |entry|, length, index, stamp).  A column is
+    # pushed, and pushed again whenever it changes, under 1, a lower bound
+    # that takes no pass over it; popped with no entry that small, it goes
+    # back under its least |entry|.  An entry with a stale stamp is skipped
+    stamps = [0] * len(cols)
+    heap = [(1, len(col), j, 0) for j, col in enumerate(cols) if col]
     heapq.heapify(heap)
-    live = {j for _, j in heap}  # the columns not yet pivoted or emptied
 
     def subtract(col, f, k):
-        """Column k -= f * col, keeping the row sets."""
+        """Column k -= f * col, keeping the row sets and the heap."""
         other = cols[k]
         for i, v in col.items():
             w = other.get(i, 0) - f * v
@@ -199,74 +213,68 @@ def smith_diagonal(mat: np.ndarray) -> list[int]:
             else:
                 del other[i]
                 rows[i].discard(k)
+        stamps[k] += 1
         if other:
-            heapq.heappush(heap, (len(other), k))
-        else:
-            live.discard(k)
+            heapq.heappush(heap, (1, len(other), k, stamps[k]))
 
-    units = 0
     diag: list[int] = []
-    while True:
-        while heap:
-            size, j = heapq.heappop(heap)
-            col = cols[j]
-            if col is None or len(col) != size:
-                continue
-            p = min(
-                (i for i, v in col.items() if v == 1 or v == -1),
-                key=lambda i: len(rows[i]),
-                default=None,
-            )
-            if p is None:
-                continue
-            # the pivot entry cancels in every column it clears, so it
-            # leaves the pivot column and the cleared columns before the loop
+    while heap:
+        least, _, j, stamp = heapq.heappop(heap)
+        if stamp != stamps[j]:
+            continue
+        col = cols[j]
+        p = min(
+            (i for i, v in col.items() if v == least or v == -least),
+            key=lambda i: len(rows[i]),
+            default=None,
+        )
+        if p is None:
+            heapq.heappush(heap, (min(map(abs, col.values())), len(col), j, stamp))
+            continue
+        while True:
+            # row p leaves the pivot column and each column it clears, and
+            # comes back only where a remainder is left
             u = col.pop(p)
+            left = []
             for k in rows.pop(p):
                 if k != j:
-                    subtract(col, cols[k].pop(p) * u, k)
-            for i in col:
-                rows[i].discard(j)
-            cols[j] = None
-            live.discard(j)
-            units += 1
-        # no unit left: pivot on an entry of least absolute value, in the
-        # shortest column that has one and, within it, the shortest row
-        *_, j = min(
-            ((min(map(abs, cols[j].values())), len(cols[j]), j) for j in live),
-            default=(None,),
-        )
-        if j is None:
-            break
-        col = cols[j]
-        p = min(col, key=lambda i: (abs(col[i]), len(rows[i])))
-        while True:
-            col, u = cols[j], cols[j][p]
-            for k in rows[p] - {j}:
-                if f := cols[k][p] // u:  # 0 leaves a smaller entry in row p
-                    subtract(col, f, k)
-            if len(rows[p]) > 1:
-                j = min(rows[p] - {j}, key=lambda k: abs(cols[k][p]))
+                    other = cols[k]
+                    f, r = divmod(other.pop(p), u)
+                    if r:
+                        other[p] = r
+                        left.append(k)
+                    if f:  # 0 leaves a smaller entry in row p
+                        subtract(col, f, k)
+            if left:
+                col[p] = u
+                rows[p] = {j, *left}
+                j = min(left, key=lambda k: abs(cols[k][p]))
+                col = cols[j]
                 continue
-            for i in [i for i in col if i != p]:
-                col[i] %= u
-                if not col[i]:
-                    del col[i]
+            kept = {}
+            for i, v in col.items():
+                if r := v % u:
+                    kept[i] = r
+                else:
                     rows[i].discard(j)
-            if len(col) == 1:
+            if not kept:
                 break
-            p = min((i for i in col if i != p), key=lambda i: abs(col[i]))
-        del rows[p]
+            cols[j] = col = kept | {p: u}
+            rows[p] = {j}
+            p = min(kept, key=lambda i: (abs(col[i]), len(rows[i])))
         cols[j] = None
-        live.discard(j)
+        stamps[j] += 1  # still queued if a remainder moved the pivot here
         diag.append(abs(u))
-    # a gcd/lcm exchange of neighbours sorts each prime's exponents in the
-    # pair, so passes of them, as in a bubble sort, make the divisors a chain
+    # the 1s divide everything; of the rest, a gcd/lcm exchange of neighbours
+    # sorts each prime's exponents in the pair, so passes of them, as in a
+    # bubble sort, make the divisors a chain
+    ones = diag.count(1)
+    diag = [d for d in diag if d != 1]
     while any(diag[i + 1] % diag[i] for i in range(len(diag) - 1)):
         for i in range(len(diag) - 1):
             g = math.gcd(diag[i], diag[i + 1])
             diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
-    return [1] * units + diag
+    return [1] * ones + diag
 
 
 def _nonzeros(mat: np.ndarray) -> tuple[list[int], list[int], list[int]]:

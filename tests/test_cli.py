@@ -230,6 +230,18 @@ def test_complex_size_limits(z2_file, capsys):
         assert out == "" and err.startswith("error:") and "more than MAX_" in err
 
 
+def test_homology_refuses_a_large_simplex(tmp_path, capsys):
+    # one simplex on 30 vertices has 2^30 - 1 faces; the file is refused
+    # before the face pass lists any
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"vertices": list(range(30)), "maximal": [list(range(30))]}))
+    start = time.perf_counter()
+    assert main(["homology", str(path), "--up-to", "0"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "MAX_FACE_ENTRIES" in err
+
+
 def test_power_past_the_column_limit(z2_file, adding_file, capsys):
     # x^k has k + 2 columns, so this power is refused after about 2^12 of them
     start = time.perf_counter()

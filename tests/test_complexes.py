@@ -1028,3 +1028,28 @@ def test_complex_json_round_trip(trivial_diag):
     back = C.SimplicialComplex.from_json(data)
     assert back.simplices == link.complex.simplices
     assert back.to_json() == data
+
+
+def test_json_face_entries_limit(monkeypatch):
+    """A maximal simplex s brings |s| 2^(|s|-1) vertex entries into the
+    face pass; JSON past MAX_FACE_ENTRIES of them is refused before any
+    face is listed, while complexes built in the library are not checked."""
+    # the figures the limit is documented by
+    assert 135135 * 7 << 6 <= C.MAX_FACE_ENTRIES  # M_14
+    assert 22 << 21 <= C.MAX_FACE_ENTRIES < 23 << 22
+    monkeypatch.setattr(C, "MAX_FACE_ENTRIES", 12)
+
+    def no_faces(*args):
+        raise AssertionError("a complex was built")
+
+    # a triangle has 3 x 4 = 12 entries, a vertex 1 more
+    at = {"vertices": list("abcd"), "maximal": [[0, 1, 2], []]}
+    assert C.SimplicialComplex.from_json(at).f_vector() == [4, 3, 1]
+    past = {"vertices": list("abcd"), "maximal": [[0, 1, 2], [3]]}
+    with monkeypatch.context() as m:
+        m.setattr(C.SimplicialComplex, "__init__", no_faces)
+        with pytest.raises(ValueError, match="13 vertex entries, more than MAX_FACE_ENTRIES = 12"):
+            C.SimplicialComplex.from_json(past)
+    m5 = C.matching_complex(5)  # 15 x 2 x 2 = 60 entries
+    with pytest.raises(ValueError, match="MAX_FACE_ENTRIES"):
+        C.SimplicialComplex.from_json(m5.to_json())
