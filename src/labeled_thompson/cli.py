@@ -116,8 +116,11 @@ def cmd_act(args):
 def cmd_label(args):
     ctx = serialize.load_context(args.group)
     x = parse_expression(args.expr, ctx)
+    at = "" if args.at == "eps" else args.at
+    if not all(c in "01" for c in at):
+        raise ValueError(f"--at: not a binary word: {args.at!r}")
     try:
-        g = germs.label_at(x, "" if args.at == "eps" else args.at)
+        g = germs.label_at(x, at)
     except germs.LabelUndefined as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -270,8 +273,8 @@ def cmd_injectivize(args):
     data = {
         "steps": steps,
         "order": hat_g.n,
-        "group": hat_g.describe(),
-        "recursion": hat_phi.describe(),
+        "group": serialize.backend_to_json(hat_g),
+        "recursion": serialize.recursion_to_json(hat_phi),
         "projection": {
             ctx.source_backend.format_element(v): hat_g.format_element(
                 pi(ctx.source_backend.element(v)).value

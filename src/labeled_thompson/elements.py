@@ -174,20 +174,23 @@ class VPhiElement(GroupoidElement):
     ) -> Optional[EventuallyPeriodicWord]:
         """Exact image of an eventually periodic point, or None when the
         label transducer does not close up within `state_budget` steps
-        through the point's period.
+        through the point's period; the budget binds only infinite label
+        groups.
 
         After the tail's prefix, the transducer runs one period at a time;
         the image is periodic from the first label seen twice at the start
-        of a period.  Finite label groups always close up, and so does the
-        adding machine because child exponents shrink.
+        of a period.  Finite label groups always close up, within |G|
+        periods, and so does the adding machine because child exponents
+        shrink.
         """
         u, g, v = self._locate(point)
         tail = point.drop(len(u))
         walk = self.context.recursion.walk
         head, g = walk(g, tail.prefix)
+        finite = self.context.backend.is_finite()
         seen: dict = {}
         images: list[str] = []
-        while len(seen) * len(tail.period) <= state_budget:
+        while finite or len(seen) * len(tail.period) <= state_budget:
             if g.value in seen:
                 start = seen[g.value]
                 pre = v + head + "".join(images[:start])

@@ -356,7 +356,8 @@ def germ_compare(a: VPhiElement, b: VPhiElement, budget: int = 4096) -> GermAnsw
                 return GermAnswer("distinct", da)
             seen.add(state)
         steps += 1
-        if steps > budget:
+        # a finite walk ends within |G|^2 steps, when a label pair repeats
+        if not finite and steps > budget:
             return GermAnswer("unknown")
         da, ga, va = next(sa)
         db, gb, vb = next(sb)

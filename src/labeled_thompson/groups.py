@@ -10,7 +10,9 @@ swap flag; it drives the expansion rule of the diagram calculus, and its
 label transducer `WreathRecursion.walk` gives the induced action on the
 infinite binary tree, the labels at cones and the images of points.
 Whether a recursion is injective (so that sibling columns can merge back)
-is decided when it is built.
+is decided when it is built; a kappa map is checked and evaluated as the
+custom table it defines.  The JSON forms of backends and recursions belong
+to `serialize`.
 """
 
 from __future__ import annotations
@@ -126,9 +128,6 @@ class GroupBackend:
     def is_finite(self) -> bool:
         return self.order() is not None
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 class FiniteTableGroup(GroupBackend):
     """Cayley-table group on indices 0..n-1 with 0 the identity.
@@ -206,12 +205,6 @@ class FiniteTableGroup(GroupBackend):
             return self.names[token]
         return int(token)
 
-    def describe(self) -> dict:
-        d = {"kind": "finite", "table": [list(r) for r in self.table]}
-        if self.names:
-            d["names"] = dict(self.names)
-        return d
-
     def __repr__(self):
         return f"FiniteTableGroup(order={self.n})"
 
@@ -265,9 +258,6 @@ class CyclicGroup(GroupBackend):
             return "t" if v == 1 else f"t^{v}"
         return str(v)
 
-    def describe(self) -> dict:
-        return {"kind": "cyclic", "n": self.n}
-
     def __repr__(self):
         return f"CyclicGroup({'Z' if self.n is None else self.n})"
 
@@ -314,9 +304,6 @@ class SymmetricGroup(GroupBackend):
 
     def format_element(self, v) -> str:
         return "".join(str(i) for i in v)
-
-    def describe(self) -> dict:
-        return {"kind": "symmetric", "m": self.m}
 
     def __repr__(self):
         return f"SymmetricGroup({self.m})"
@@ -383,9 +370,6 @@ class FreeGroup(GroupBackend):
     def sort_key(self, v):
         return (len(v), v)
 
-    def describe(self) -> dict:
-        return {"kind": "free", "rank": self.rank}
-
     def __repr__(self):
         return f"FreeGroup(rank={self.rank})"
 
@@ -438,9 +422,6 @@ class ProductGroup(GroupBackend):
     def sort_key(self, v):
         return tuple(f.sort_key(x) for f, x in zip(self.factors, v))
 
-    def describe(self) -> dict:
-        return {"kind": "product", "factors": [f.describe() for f in self.factors]}
-
     def __repr__(self):
         return f"ProductGroup({self.factors!r})"
 
@@ -490,6 +471,9 @@ class WreathRecursion:
 
     Canonical rules carry closed-form injectivity; custom finite rules are
     validated to be homomorphisms and carry a precomputed inverse table.
+    A kappa map to S2 is the custom table g -> (g, g, kappa(g)) and takes
+    the same path, keeping its rule name and the map in `kappa`.  The JSON
+    form of a recursion is read and written by `serialize`.
     """
 
     def __init__(
@@ -511,16 +495,18 @@ class WreathRecursion:
                 raise ValueError("adding machine lives on the infinite cyclic group")
         elif rule == "vanishing":
             self._injective = backend.order() == 1
-        elif rule == "kappa":
-            if kappa is None:
-                raise ValueError("kappa rule needs the map to S2")
-            self.kappa = dict(kappa)
-            self._validate_kappa()
-        elif rule == "custom":
-            if table is None:
+        elif rule in ("kappa", "custom"):
+            if rule == "kappa":
+                if kappa is None:
+                    raise ValueError("kappa rule needs the map to S2")
+                self.kappa = dict(kappa)
+                # the table g -> (g, g, kappa(g)), whose wreath law is
+                # kappa(ab) = kappa(a) xor kappa(b)
+                table = {v: (v, v, s) for v, s in self.kappa.items()}
+            elif table is None:
                 raise ValueError("custom rule needs a lookup table")
             if not backend.is_finite():
-                raise ValueError("custom tables require a finite backend")
+                raise ValueError(f"{rule} tables require a finite backend")
             self.table = {
                 v: (img[0], img[1], bool(img[2])) for v, img in table.items()
             }
@@ -530,32 +516,17 @@ class WreathRecursion:
 
     # -- validation ---------------------------------------------------
 
-    def _validate_kappa(self):
-        if not self.backend.is_finite():
-            raise ValueError("kappa maps are validated exhaustively; need finite G")
-        vals = list(self.backend.element_values())
-        if set(self.kappa) != set(vals):
-            raise ValueError("kappa must be defined on every element")
-        if self.kappa[self.backend.identity_value()]:
-            raise ValueError("kappa must send the identity to the identity")
-        for a in vals:
-            for b in vals:
-                if self.kappa[self.backend.mul(a, b)] != (
-                    self.kappa[a] ^ self.kappa[b]
-                ):
-                    raise ValueError("kappa is not a homomorphism to S2")
-
     def _validate_custom(self):
         vals = list(self.backend.element_values())
         if set(self.table) != set(vals):
-            raise ValueError("custom table must cover every element")
+            raise ValueError(f"{self.rule} table must cover every element")
         e = self.backend.identity_value()
         if self.table[e] != (e, e, False):
-            raise ValueError("custom table must fix the identity")
+            raise ValueError(f"{self.rule} table must fix the identity")
         for v in vals:
             l, r, _ = self.table[v]
             if not (self.backend.check_value(l) and self.backend.check_value(r)):
-                raise ValueError("custom table values must live in the backend")
+                raise ValueError(f"{self.rule} table values must live in the backend")
         for a in vals:
             for b in vals:
                 la, ra, sa = self.table[a]
@@ -564,7 +535,7 @@ class WreathRecursion:
                 lb_t, rb_t = (rb, lb) if sa else (lb, rb)
                 want = (self.backend.mul(la, lb_t), self.backend.mul(ra, rb_t), sa ^ sb)
                 if self.table[self.backend.mul(a, b)] != want:
-                    raise ValueError("custom table is not a homomorphism")
+                    raise ValueError(f"{self.rule} table is not a homomorphism")
 
     # -- evaluation ---------------------------------------------------
 
@@ -581,8 +552,6 @@ class WreathRecursion:
             return WreathImage(B.one(), g, False)
         if self.rule == "left":
             return WreathImage(g, B.one(), False)
-        if self.rule == "kappa":
-            return WreathImage(g, g, self.kappa[v])
         # halves of an integer, or entries of the table checked when the
         # rule was built: both are values of B, wrapped without a check
         if self.rule == "adding":
@@ -613,8 +582,6 @@ class WreathRecursion:
             return w.right if (l == e and not s) else None
         if self.rule == "left":
             return w.left if (r == e and not s) else None
-        if self.rule == "kappa":
-            return w.left if (l == r and self.kappa[l] == s) else None
         if self.rule == "adding":
             # t^m splits as (t^l, t^(l+s)) with m = 2l + s
             return GroupElement(B, 2 * l + s) if r == l + s else None
@@ -639,16 +606,6 @@ class WreathRecursion:
 
     def is_injective(self) -> bool:
         return self._injective
-
-    def describe(self) -> dict:
-        d = {"rule": self.rule}
-        if self.table is not None:
-            d["table"] = {
-                str(v): [l, r, int(s)] for v, (l, r, s) in self.table.items()
-            }
-        if self.kappa is not None:
-            d["kappa"] = {str(v): int(s) for v, s in self.kappa.items()}
-        return d
 
     def __repr__(self):
         return f"WreathRecursion({self.rule!r} on {self.backend!r})"

@@ -1,9 +1,13 @@
 """JSON formats for groups, recursions, elements and certificates.
 
-Group definition files look like
+This module alone reads and writes the group and recursion JSON.  Group
+definition files look like
   {"group": {"kind": "finite", "table": [[...]], "names": {"g": 1}},
    "recursion": {"rule": "diagonal"}}
-and elements like
+where a custom rule lists rows [g, left, right, swap] and a kappa rule rows
+[g, 0|1], and every label is its backend token.  The readers read back
+what `backend_to_json` and `recursion_to_json` write.
+Elements look like
   {"columns": [{"dom": "0", "label": "g", "ran": "0"}, ...],
    "kind": "tree", "roots": [1, 1]}.
 Forest leaves are written "r:word".  Labels are backend tokens; elements
@@ -47,26 +51,48 @@ def backend_from_json(data: dict) -> GroupBackend:
     raise ValueError(f"unknown group kind {kind!r}")
 
 
+def backend_to_json(B: GroupBackend) -> dict:
+    if isinstance(B, FiniteTableGroup):
+        out = {"kind": "finite", "table": [list(row) for row in B.table]}
+        if B.names:
+            out["names"] = dict(B.names)
+        return out
+    if isinstance(B, CyclicGroup):
+        return {"kind": "cyclic", "n": B.n}
+    if isinstance(B, FreeGroup):
+        return {"kind": "free", "rank": B.rank}
+    if isinstance(B, SymmetricGroup):
+        return {"kind": "symmetric", "m": B.m}
+    if isinstance(B, ProductGroup):
+        return {"kind": "product", "factors": [backend_to_json(f) for f in B.factors]}
+    raise ValueError(f"no JSON form for {B!r}")
+
+
 def recursion_from_json(backend: GroupBackend, data: dict) -> WreathRecursion:
     rule = data["rule"]
-    if rule == "adding":
-        return WreathRecursion(backend, "adding")
+    parse = lambda tok: backend.parse_element(str(tok))  # noqa: E731
     if rule == "custom":
-        table = {}
-        for g_tok, l_tok, r_tok, s in data["table"]:
-            table[backend.parse_element(str(g_tok))] = (
-                backend.parse_element(str(l_tok)),
-                backend.parse_element(str(r_tok)),
-                bool(s),
-            )
+        table = {
+            parse(g): (parse(left), parse(right), bool(s))
+            for g, left, right, s in data["table"]
+        }
         return WreathRecursion(backend, "custom", table=table)
     if rule == "kappa":
-        kappa = {
-            backend.parse_element(str(g_tok)): bool(s)
-            for g_tok, s in data["kappa"]
-        }
+        kappa = {parse(g): bool(s) for g, s in data["kappa"]}
         return WreathRecursion(backend, "kappa", kappa=kappa)
     return WreathRecursion(backend, rule)
+
+
+def recursion_to_json(phi: WreathRecursion) -> dict:
+    fmt = phi.backend.format_element
+    out = {"rule": phi.rule}
+    if phi.rule == "kappa":
+        out["kappa"] = [[fmt(v), int(s)] for v, (_, _, s) in phi.table.items()]
+    elif phi.rule == "custom":
+        out["table"] = [
+            [fmt(v), fmt(l), fmt(r), int(s)] for v, (l, r, s) in phi.table.items()
+        ]
+    return out
 
 
 def context_from_json(data: dict) -> Context:

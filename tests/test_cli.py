@@ -339,6 +339,90 @@ def test_injectivize_command(tmp_path, capsys):
     assert data["steps"] == 1 and data["order"] == 1
 
 
+def _group_file(path, group, recursion) -> str:
+    path.write_text(json.dumps({"group": group, "recursion": recursion}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "group, recursion, order",
+    [
+        ({"kind": "cyclic", "n": 2}, {"rule": "vanishing"}, 1),
+        # (a, b) -> ((a, 0), (a, 0), swap when a = 1) on Z/2 x Z/2: the
+        # quotient is Z/2 with a swapping table
+        (
+            {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 2},
+            {
+                "rule": "custom",
+                "table": [
+                    [f"{a}&{b}", f"{a}&0", f"{a}&0", a] for a in (0, 1) for b in (0, 1)
+                ],
+            },
+            2,
+        ),
+        (
+            {"kind": "symmetric", "m": 3},
+            {"rule": "vanishing"},
+            1,
+        ),
+    ],
+    ids=["z2-vanishing", "z2xz2-custom", "s3-vanishing"],
+)
+def test_injectivize_output_loads_as_a_group_file(tmp_path, capsys, group, recursion, order):
+    source = _group_file(tmp_path / "source.json", group, recursion)
+    assert main(["--json", "injectivize", "-g", source]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["order"] == order
+    quotient = _group_file(tmp_path / "quotient.json", data["group"], data["recursion"])
+    assert main(["is-id", "-g", quotient, "id"]) == 0
+    if order == 2:
+        assert main(["is-id", "-g", quotient, "iota(1)"]) == 1
+        assert main(["eq", "-g", quotient, "iota(1) * iota(1)", "id"]) == 0
+        # the quotient label swaps the children it splits into
+        assert main(["eq", "-g", quotient, "[eps|1|eps]", "[0|1|1; 1|1|0]"]) == 0
+
+
+@pytest.mark.parametrize(
+    "kappa",
+    [
+        [[0, 0], [1, 1], [2, 0]],  # not a homomorphism from Z/3
+        [[0, 1], [1, 0], [2, 1]],  # the identity sent to 1
+        [[0, 0], [1, 0]],  # no value at 2
+    ],
+    ids=["non-homomorphism", "identity-to-1", "missing-element"],
+)
+def test_invalid_kappa_map_is_usage_error(tmp_path, capsys, kappa):
+    path = _group_file(
+        tmp_path / "kappa.json", {"kind": "cyclic", "n": 3}, {"rule": "kappa", "kappa": kappa}
+    )
+    assert main(["is-id", "-g", path, "id"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "kappa" in err
+
+
+def test_germ_answers_are_exact_on_finite_groups_at_any_budget(tmp_path, capsys):
+    path = _group_file(tmp_path / "z2.json", {"kind": "cyclic", "n": 2}, {"rule": "diagonal"})
+    for budget in ("0", "5"):
+        argv = ["germ", "-g", path, "--compare", "lambda(00,1)", "lambda(01,1)"]
+        assert main(argv + ["--budget", budget]) == 0
+        assert capsys.readouterr().out.strip() == "Distinct(3)"
+        argv = ["germ", "-g", path, "--perp", "iota(1)", "[0|0|1;1|0|0]"]
+        assert main(argv + ["--budget", budget]) == 0
+        assert capsys.readouterr().out.strip() == "True(1)"
+
+
+def test_label_refuses_words_that_are_not_binary(tmp_path, capsys):
+    path = _group_file(tmp_path / "z2.json", {"kind": "cyclic", "n": 2}, {"rule": "diagonal"})
+    for word in ("2", "a0", "0a"):
+        start = time.perf_counter()
+        assert main(["label", "-g", path, "iota(1)", "--at", word]) == 2
+        assert time.perf_counter() - start < 1
+        assert "not a binary word" in capsys.readouterr().err
+    assert main(["label", "-g", path, "iota(1)", "--at", "00"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert main(["label", "-g", path, "iota(1)", "--at", "eps"]) == 1
+
+
 def test_splinter_check_command(z2_file, capsys):
     assert (
         main(

@@ -376,6 +376,20 @@ def test_germ_compare_exact_for_finite(z2_diag, s3_diag, rng):
             assert G.germ_compare(a, b).kind != "unknown"
 
 
+def test_germ_budget_binds_only_infinite_groups(z2_diag, s3_diag, rng):
+    for ctx in (z2_diag, s3_diag):
+        for _ in range(30):
+            a = random_element(rng, ctx, max_splits=2)
+            b = random_element(rng, ctx, max_splits=2)
+            assert G.germ_compare(a, b, budget=0) == G.germ_compare(a, b)
+            assert G.perp(a, b, budget=0) == G.perp(a, b)
+    z = CyclicGroup(None)
+    ctx = Context(z, WreathRecursion(z, "diagonal"))
+    # the labels t and t^2 ride down the zero spine unchanged
+    a, b = (E.lambda_u(ctx, "0", z.element(k)) for k in (1, 2))
+    assert G.germ_compare(a, b, budget=5).kind == "unknown"
+
+
 def test_perp_examples(z2_diag, z_adding):
     g = z2_diag.source_backend.element(1)
     lam = E.lambda_u(z2_diag, "0", g)

@@ -1,8 +1,10 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from labeled_thompson import serialize
 from labeled_thompson.groups import (
     BackendMismatch,
     CyclicGroup,
@@ -451,3 +453,75 @@ def test_injectivize_refuses_infinite():
     for rule in ("adding", "vanishing"):
         with pytest.raises(ValueError, match="stabilize"):
             injectivize(WreathRecursion(z, rule))
+
+
+# -- JSON ----------------------------------------------------------------------
+
+
+def _regular_sign(B) -> dict:
+    """The sign of right multiplication by g on the elements of a finite B:
+    a homomorphism to S2, nontrivial on Z/2, Z/4 and S3."""
+    values = list(B.element_values())
+    index = {v: i for i, v in enumerate(values)}
+    sign = {}
+    for g in values:
+        perm = [index[B.mul(x, g)] for x in values]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        sign[g] = bool(inversions % 2)
+    return sign
+
+
+def _recursions(B) -> list:
+    """Every rule the backend admits: tables only on finite groups, the
+    adding machine only on the integers."""
+    recs = [WreathRecursion(B, rule) for rule in ("diagonal", "vanishing", "right", "left")]
+    if isinstance(B, CyclicGroup) and B.n is None:
+        recs.append(WreathRecursion(B, "adding"))
+    if B.is_finite():
+        sign = _regular_sign(B)
+        e = B.identity_value()
+        recs += [
+            WreathRecursion(B, "kappa", kappa=sign),
+            WreathRecursion(B, "custom", table={v: (v, v, s) for v, s in sign.items()}),
+            WreathRecursion(B, "custom", table={v: (e, v, False) for v in sign}),
+        ]
+    return recs
+
+
+JSON_BACKENDS = {
+    "finite": lambda: cyclic_table(4),
+    "finite-named": lambda: symmetric_table(3),
+    "cyclic": lambda: CyclicGroup(2),
+    "integers": lambda: CyclicGroup(None),
+    "symmetric": lambda: SymmetricGroup(3),
+    "free": lambda: FreeGroup(2),
+    "product": lambda: ProductGroup([CyclicGroup(2), SymmetricGroup(3)]),
+    "product-infinite": lambda: ProductGroup([FreeGroup(1), CyclicGroup(None)]),
+}
+
+
+@pytest.mark.parametrize("kind", list(JSON_BACKENDS))
+def test_group_and_recursion_json_round_trip(kind):
+    B = JSON_BACKENDS[kind]()
+    for phi in _recursions(B):
+        data = {
+            "group": serialize.backend_to_json(B),
+            "recursion": serialize.recursion_to_json(phi),
+        }
+        ctx_data = json.loads(json.dumps(data))
+        B2 = serialize.backend_from_json(ctx_data["group"])
+        phi2 = serialize.recursion_from_json(B2, ctx_data["recursion"])
+        again = {
+            "group": serialize.backend_to_json(B2),
+            "recursion": serialize.recursion_to_json(phi2),
+        }
+        assert again == ctx_data, phi
+        assert phi2.rule == phi.rule
+        if B.is_finite():
+            for g in B.elements():
+                img, img2 = phi.apply(g), phi2.apply(B2.element(g.value))
+                assert (img.left.value, img.right.value, img.swap) == (
+                    img2.left.value,
+                    img2.right.value,
+                    img2.swap,
+                ), (phi, g)
