@@ -145,31 +145,34 @@ def cmd_lsupp(args):
 def cmd_decompose(args):
     ctx = serialize.load_context(args.group)
     x = parse_expression(args.expr, ctx)
+    # decompose raises AssertionError (exit 3) on a certificate that fails
+    # to verify, so one that it returns is verified
     cert = perfection.decompose(x)
-    ok = cert.verify()
     data = serialize.certificate_to_json(cert)
-    data["verified"] = ok
+    data["verified"] = True
     _emit(
         args,
         data,
         f"factors: {len(cert.factors)}, tail columns: "
-        f"{len(cert.tail.diagram.columns)}, verified: {str(ok).lower()}",
+        f"{len(cert.tail.diagram.columns)}, verified: true",
     )
-    return 0 if ok else 1
+    return 0
 
 
 def cmd_witness(args):
     ctx = serialize.load_context(args.group)
     x = parse_expression(args.expr, ctx)
     p, q = perfection.commutator_witness(x)
-    ok = p * q * ~p * ~q == x
+    # the one check of the pair: a wrong witness is a bug, exit 3
+    if p * q * ~p * ~q != x:
+        raise AssertionError("commutator witness failed to verify")
     data = {
         "p": serialize.element_to_json(p),
         "q": serialize.element_to_json(q),
-        "verified": ok,
+        "verified": True,
     }
-    _emit(args, data, f"verified: {str(ok).lower()}")
-    return 0 if ok else 1
+    _emit(args, data, "verified: true")
+    return 0
 
 
 def cmd_splinter_check(args):

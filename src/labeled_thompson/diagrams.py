@@ -392,8 +392,11 @@ def from_parts(
 
 
 def lambda_diagram(context: Context, u: str, g: GroupElement) -> LabeledDiagram:
-    """Single label g on the cone of u, trivial elsewhere, domain = range."""
+    """Single label g on the cone of u, trivial elsewhere, domain = range.
+
+    Returns the unreduced tree diagram; `elements.lambda_u` reduces it when
+    it wraps it."""
     part = complete_to_partition([u]) if u else [""]
     one = context.one()
     labels = [context.label(g) if w == u else one for w in part]
-    return tree_diagram(context, part, labels, part).reduce()
+    return tree_diagram(context, part, labels, part)

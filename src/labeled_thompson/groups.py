@@ -155,6 +155,16 @@ class FiniteTableGroup(GroupBackend):
             raise ValueError("Cayley table is not associative")
         self._inv = [row.index(0) for row in self.table]
         self.names = dict(names or {})
+        for name, v in self.names.items():
+            if not self.check_value(v):
+                raise ValueError(f"name {name!r} is given index {v!r}, not one of 0..{n - 1}")
+            # a name that reads as another element's index would shadow it
+            try:
+                shadowed = int(name)
+            except ValueError:
+                continue
+            if 0 <= shadowed < n and shadowed != v:
+                raise ValueError(f"name {name!r} of index {v} reads as index {shadowed}")
         self._name_of = {v: k for k, v in self.names.items()}
 
     def identity_value(self):
@@ -264,7 +274,9 @@ class CyclicGroup(GroupBackend):
 
 class SymmetricGroup(GroupBackend):
     """S_m on {1..m}; values are image tuples p with (i)p = p[i-1], acting
-    on the right: (i)(pq) = ((i)p)q."""
+    on the right: (i)(pq) = ((i)p)q.  Tokens list the images, run together
+    for m <= 9 (`213`) and joined by `-` for m >= 10 (`2-1-3-4-5-6-7-8-9-10`);
+    `1` is the identity."""
 
     kind = "symmetric"
 
@@ -298,12 +310,10 @@ class SymmetricGroup(GroupBackend):
         token = token.strip()
         if token == "1":
             return self.identity_value()
-        if self.m > 9:
-            raise ValueError("one-line tokens only supported for m <= 9")
-        return tuple(int(c) for c in token)
+        return tuple(int(c) for c in (token.split("-") if self.m > 9 else token))
 
     def format_element(self, v) -> str:
-        return "".join(str(i) for i in v)
+        return ("-" if self.m > 9 else "").join(str(i) for i in v)
 
     def __repr__(self):
         return f"SymmetricGroup({self.m})"
@@ -375,12 +385,18 @@ class FreeGroup(GroupBackend):
 
 
 class ProductGroup(GroupBackend):
+    """Direct product; a token joins the factors' tokens with `&`, and a
+    product factor contributes its own `&`-joined parts, so ((1, 0), 1) in
+    (Z/2 x Z/2) x Z/2 is `1&0&1`."""
+
     kind = "product"
 
     def __init__(self, factors: list[GroupBackend]):
         if not factors:
             raise ValueError("need at least one factor")
         self.factors = list(factors)
+        # the number of non-product factors, nested products flattened
+        self.width = sum(f.width if isinstance(f, ProductGroup) else 1 for f in self.factors)
 
     def identity_value(self):
         return tuple(f.identity_value() for f in self.factors)
@@ -412,9 +428,16 @@ class ProductGroup(GroupBackend):
 
     def parse_element(self, token: str):
         parts = token.strip().split("&")
-        if len(parts) != len(self.factors):
+        if len(parts) != self.width:
             raise ValueError("wrong number of product components")
-        return tuple(f.parse_element(p) for f, p in zip(self.factors, parts))
+        return self._take(iter(parts))
+
+    def _take(self, parts: Iterator[str]):
+        """The value read from the next `width` parts, in factor order."""
+        return tuple(
+            f._take(parts) if isinstance(f, ProductGroup) else f.parse_element(next(parts))
+            for f in self.factors
+        )
 
     def format_element(self, v) -> str:
         return "&".join(f.format_element(x) for f, x in zip(self.factors, v))

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from labeled_thompson import complexes, perfection
+from labeled_thompson import complexes, elements, perfection
 from labeled_thompson.cli import (
     LSUPP_MAX_CONES,
     MAX_SPLINTER_ELEMENTS,
@@ -538,3 +538,59 @@ def test_element_file_missing_field(tmp_path, z2_file, capsys):
     path.write_text(json.dumps({"kind": "tree"}))
     assert main(["reduce", "-g", z2_file, f"file({path})"]) == 2
     assert "KeyError('columns')" in capsys.readouterr().err
+
+
+def test_a_wrong_witness_is_an_internal_error(z2_file, capsys, monkeypatch):
+    """The one check of a commutator answer fires in both commands: exit 3,
+    never 1."""
+
+    def wrong(v):
+        e = elements.identity(v.context)
+        return e, e
+
+    monkeypatch.setattr(perfection, "commutator_witness", wrong)
+    for argv in (
+        ["decompose", "-g", z2_file, "[0|0|0; 1|g|1]"],
+        ["witness-commutator", "-g", z2_file, "[0|0|0; 1|g|1]"],
+    ):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
+        assert "Traceback" not in captured.err
+
+
+def test_nested_product_labels_parse(tmp_path, capsys):
+    z2 = {"kind": "cyclic", "n": 2}
+    path = tmp_path / "nested.json"
+    inner = {"kind": "product", "factors": [z2, z2]}
+    group = {"kind": "product", "factors": [inner, z2]}
+    path.write_text(json.dumps({"group": group, "recursion": {"rule": "diagonal"}}))
+    assert main(["is-id", "-g", str(path), "iota(1&0&1)^2"]) == 0
+    assert main(["is-id", "-g", str(path), "iota(1&0&1)"]) == 1
+
+
+def test_a_name_that_shadows_an_index_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "z3.json"
+    z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    group = {"kind": "finite", "table": z3, "names": {"1": 2}}
+    path.write_text(json.dumps({"group": group, "recursion": {"rule": "diagonal"}}))
+    start = time.perf_counter()
+    assert main(["is-id", "-g", str(path), "iota(1)"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: name '1' of index 2 reads as index 1\n"
+
+
+def test_s10_labels_read_back_through_a_file(tmp_path, capsys):
+    path = tmp_path / "s10.json"
+    group = {"kind": "symmetric", "m": 10}
+    path.write_text(json.dumps({"group": group, "recursion": {"rule": "diagonal"}}))
+    token = "2-1-3-4-5-6-7-8-9-10"
+    assert main(["--json", "reduce", "-g", str(path), f"iota({token})"]) == 0
+    out = tmp_path / "x.json"
+    out.write_text(capsys.readouterr().out)
+    assert token in out.read_text()
+    assert main(["eq", "-g", str(path), f"file({out})", f"iota({token})"]) == 0
+    assert main(["eq", "-g", str(path), f"file({out})", "iota(1)"]) == 1

@@ -183,6 +183,48 @@ def test_product_group():
     _axiom_check(g, list(g.element_values()))
 
 
+def test_nested_product_tokens_read_back():
+    z2, s3 = CyclicGroup(2), SymmetricGroup(3)
+    nested = ProductGroup([ProductGroup([z2, z2]), z2])
+    assert nested.format_element(((1, 0), 1)) == "1&0&1"
+    assert nested.parse_element("1&0&1") == ((1, 0), 1)
+    deep = ProductGroup([z2, ProductGroup([s3, ProductGroup([z2, CyclicGroup(3)])])])
+    for B in (nested, deep):
+        for v in B.element_values():
+            assert B.parse_element(B.format_element(v)) == v
+    with pytest.raises(ValueError, match="wrong number of product components"):
+        nested.parse_element("1&0")
+
+
+def test_finite_table_names_may_not_shadow_an_index():
+    z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match="reads as index 1"):
+        FiniteTableGroup(z3, names={"1": 2})
+    with pytest.raises(ValueError, match="not one of 0..2"):
+        FiniteTableGroup(z3, names={"g": 3})
+    # a name that reads as its own index, or as no index, is admitted
+    g = FiniteTableGroup(z3, names={"1": 1, "7": 2, "g": 2})
+    assert g.parse_element("1") == 1 and g.parse_element("7") == 2
+    s3 = symmetric_table(3)
+    assert s3.n == 6 and s3.parse_element("213") == s3.names["213"]
+
+
+def test_symmetric_tokens_read_back_past_nine():
+    rng = random.Random(10)
+    for m in (10, 12):
+        sm = SymmetricGroup(m)
+        assert sm.parse_element("1") == sm.identity_value()
+        for _ in range(50):
+            v = tuple(rng.sample(range(1, m + 1), m))
+            token = sm.format_element(v)
+            assert "-" in token and sm.parse(token).value == v
+    s10 = SymmetricGroup(10)
+    assert s10.format_element(s10.identity_value()) == "1-2-3-4-5-6-7-8-9-10"
+    # up to nine points the tokens are the images run together
+    assert SymmetricGroup(3).format_element((2, 1, 3)) == "213"
+    assert SymmetricGroup(9).parse_element("213456789") == (2, 1, 3, 4, 5, 6, 7, 8, 9)
+
+
 def test_backend_mismatch():
     z2, z3 = CyclicGroup(2), CyclicGroup(3)
     with pytest.raises(BackendMismatch):
@@ -497,6 +539,9 @@ JSON_BACKENDS = {
     "free": lambda: FreeGroup(2),
     "product": lambda: ProductGroup([CyclicGroup(2), SymmetricGroup(3)]),
     "product-infinite": lambda: ProductGroup([FreeGroup(1), CyclicGroup(None)]),
+    "product-nested": lambda: ProductGroup(
+        [ProductGroup([CyclicGroup(2), CyclicGroup(2)]), CyclicGroup(2)]
+    ),
 }
 
 

@@ -111,3 +111,25 @@ def test_certificate_rejects_three_factors(s3_diag):
     e = E.identity(s3_diag)
     with pytest.raises(ValueError):
         P.CommutatorCertificate(((e, e), (e, e), (e, e)), e, e)
+
+
+def test_decompose_refuses_a_wrong_witness(s3_diag, monkeypatch):
+    """The construction steps are unchecked; the certificate check in
+    decompose is what catches a wrong one."""
+    g = s3_diag.source_backend.element(1)
+    a = E.element(s3_diag, ["0", "1"], [s3_diag.one(), s3_diag.label(g)], ["0", "1"])
+    e = E.identity(s3_diag)
+    monkeypatch.setattr(P, "commutator_witness", lambda v: (e, e))
+    with pytest.raises(AssertionError, match="^certificate failed to verify$"):
+        P.decompose(a)
+
+
+def test_decompose_refuses_a_wrong_split(s3_diag, monkeypatch):
+    g = s3_diag.source_backend.element(1)
+    a = E.element(s3_diag, ["0", "1"], [s3_diag.one(), s3_diag.label(g)], ["0", "1"])
+    split3 = P.split3
+    monkeypatch.setattr(
+        P, "split3", lambda x: (E.identity(s3_diag),) + split3(x)[1:]
+    )
+    with pytest.raises(AssertionError, match="^certificate failed to verify$"):
+        P.decompose(a)
