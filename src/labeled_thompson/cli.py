@@ -117,8 +117,6 @@ def cmd_label(args):
     ctx = serialize.load_context(args.group)
     x = parse_expression(args.expr, ctx)
     at = "" if args.at == "eps" else args.at
-    if not all(c in "01" for c in at):
-        raise ValueError(f"--at: not a binary word: {args.at!r}")
     try:
         g = germs.label_at(x, at)
     except germs.LabelUndefined as exc:

@@ -20,6 +20,7 @@ from . import elements, splinter
 from .diagrams import Context
 from .elements import VPhiElement
 from .serialize import element_from_json, load_json
+from .words import is_bitword
 
 
 class ExpressionError(ValueError):
@@ -170,7 +171,7 @@ class _Parser:
     def word(self, tok: str) -> str:
         if tok == "eps":
             return ""
-        if not all(c in "01" for c in tok):
+        if not is_bitword(tok):
             raise ExpressionError(f"not a binary word: {tok!r}", self.pos)
         return tok
 

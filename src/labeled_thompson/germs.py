@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .elements import VPhiElement, commutator, element
 from .groups import GroupElement
-from .words import OMEGA0, _cone_excess, padded_complements
+from .words import OMEGA0, _cone_excess, is_bitword, padded_complements
 
 
 class LabelUndefined(ValueError):
@@ -47,6 +47,8 @@ def label_at(a: VPhiElement, u: str) -> GroupElement:
 def cone_data(a: VPhiElement, u: str) -> tuple[GroupElement, str]:
     """(label, image word) of the cone of u: a maps u-cone onto the image
     cone through the tree action of the label."""
+    if not is_bitword(u):
+        raise ValueError(f"not a binary word: {u!r}")
     col = a._column(u)
     if col is None:
         raise LabelUndefined(f"label undefined at this interval: {u!r}")
@@ -75,7 +77,7 @@ class ConeSet(Set):
         return sum(1 << (self.depth - len(cone)) for cone in self.cones)
 
     def __contains__(self, word):
-        if not isinstance(word, str) or len(word) != self.depth or word.strip("01"):
+        if not isinstance(word, str) or len(word) != self.depth or not is_bitword(word):
             return False
         # the block holding a word is the last one sorting at or before it
         i = bisect_right(self.cones, word)

@@ -78,8 +78,6 @@ class GroupElement:
 class GroupBackend:
     """Base class: exact arithmetic on canonical values."""
 
-    kind = "abstract"
-
     def identity_value(self):
         raise NotImplementedError
 
@@ -136,8 +134,6 @@ class FiniteTableGroup(GroupBackend):
     0 is a loop, and it is a group when it is associative (Light's test,
     O(n^2 log n) lookups).
     """
-
-    kind = "finite-table"
 
     def __init__(self, table, names: Optional[dict[str, int]] = None):
         n = len(table)
@@ -222,8 +218,6 @@ class FiniteTableGroup(GroupBackend):
 class CyclicGroup(GroupBackend):
     """Z/n for finite n, or the infinite cyclic group when n is None."""
 
-    kind = "cyclic"
-
     def __init__(self, n: Optional[int] = None):
         if n is not None and n < 1:
             raise ValueError("cyclic order must be positive")
@@ -278,8 +272,6 @@ class SymmetricGroup(GroupBackend):
     for m <= 9 (`213`) and joined by `-` for m >= 10 (`2-1-3-4-5-6-7-8-9-10`);
     `1` is the identity."""
 
-    kind = "symmetric"
-
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("need m >= 1")
@@ -323,7 +315,6 @@ class FreeGroup(GroupBackend):
     """Free group of finite rank; values are freely reduced tuples of
     nonzero ints, +k for the k-th generator and -k for its inverse."""
 
-    kind = "free"
     LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
     def __init__(self, rank: int):
@@ -388,8 +379,6 @@ class ProductGroup(GroupBackend):
     """Direct product; a token joins the factors' tokens with `&`, and a
     product factor contributes its own `&`-joined parts, so ((1, 0), 1) in
     (Z/2 x Z/2) x Z/2 is `1&0&1`."""
-
-    kind = "product"
 
     def __init__(self, factors: list[GroupBackend]):
         if not factors:
@@ -689,7 +678,10 @@ def _push_recursion(phi, target: FiniteTableGroup, qmap: dict, source_values) ->
 
 
 def _quotient(G: FiniteTableGroup, kernel: set) -> tuple[FiniteTableGroup, dict]:
-    """Quotient of a table group by a normal subgroup given as a value set."""
+    """Quotient of a table group by a normal subgroup given as a value set.
+
+    v = 0 is visited first, so the kernel, which holds 0, is coset 0: the
+    quotient's identity sits where FiniteTableGroup wants it."""
     cosets: list[frozenset] = []
     where: dict[int, int] = {}
     for v in range(G.n):
@@ -700,13 +692,6 @@ def _quotient(G: FiniteTableGroup, kernel: set) -> tuple[FiniteTableGroup, dict]
         cosets.append(coset)
         for u in coset:
             where[u] = idx
-    # re-seat so that the kernel coset is index 0
-    id_at = where[0]
-    if id_at != 0:
-        order = list(range(len(cosets)))
-        order[0], order[id_at] = order[id_at], order[0]
-        cosets = [cosets[i] for i in order]
-        where = {u: order.index(w) for u, w in where.items()}
     reps = [min(c) for c in cosets]
     table = [
         [where[G.mul(a, b)] for b in reps]

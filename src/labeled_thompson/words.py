@@ -15,7 +15,8 @@ Leaf = tuple[int, str]
 
 
 def is_bitword(w: str) -> bool:
-    return all(c in "01" for c in w)
+    """The one test that a string is a binary word."""
+    return not w.strip("01")
 
 
 def sibling(u: str) -> str:
@@ -37,11 +38,11 @@ def _cone_excess(words: Sequence[str]) -> int:
 def is_partition_set(words: Sequence[str]) -> bool:
     """Decide whether a family of words cuts the boundary into disjoint cones.
 
-    Checks the two defining properties directly: pairwise prefix
-    incomparability, and completeness via the exact cone-measure identity
-    sum(2^-len(u)) == 1.
+    Checks that every word is binary, then the two defining properties
+    directly: pairwise prefix incomparability, and completeness via the
+    exact cone-measure identity sum(2^-len(u)) == 1.
     """
-    if len(words) == 0:
+    if len(words) == 0 or not is_bitword("".join(words)):
         return False
     ordered = sorted(words)
     for a, b in zip(ordered, ordered[1:]):
@@ -69,6 +70,9 @@ def complete_to_partition(words: Iterable[str]) -> list[str]:
     themselves.  None of those siblings extends another word of the result,
     since every shorter word it extends is a prefix of an input word."""
     chosen = sorted(set(words))
+    for w in chosen:
+        if not is_bitword(w):
+            raise ValueError(f"not a binary word: {w!r}")
     if chosen == [""]:
         return [""]
     for a, b in zip(chosen, chosen[1:]):

@@ -435,6 +435,19 @@ def test_splinter_check_command(z2_file, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "group", [{"kind": "symmetric", "m": 5}, {"kind": "cyclic", "n": 200}], ids=["s5", "z200"]
+)
+def test_splinter_check_starts_at_once_on_larger_groups(tmp_path, capsys, group):
+    # the regular G-set is not re-checked, so set-up does not grow with |G|^3
+    path = _group_file(tmp_path / "g.json", group, {"rule": "diagonal"})
+    argv = ["splinter-check", "-g", path, "--pairs", "1", "--points", "1", "--elements", "1"]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.startswith("hom: true")
+
+
 def test_splinter_check_work_limit(tmp_path, capsys):
     # refused from the arguments alone, before the group file is read
     missing = str(tmp_path / "missing.json")
@@ -461,6 +474,32 @@ def test_splinter_check_element_limit(tmp_path, capsys):
     limit = str(MAX_SPLINTER_ELEMENTS)
     assert main(["splinter-check", "-g", missing, "--elements", limit]) == 2
     assert "MAX_SPLINTER_ELEMENTS" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [("0", "0", "0"), ("2", "1", "1")],
+        [("0", "0", "a"), ("1", "1", "b")],
+    ],
+    ids=["domain-leaf-2", "range-leaves-a-b"],
+)
+def test_element_files_with_leaves_that_are_not_binary(tmp_path, z2_file, capsys, columns):
+    path = tmp_path / "bad.json"
+    cols = [{"dom": d, "label": g, "ran": r} for d, g, r in columns]
+    path.write_text(json.dumps({"columns": cols, "kind": "tree", "roots": [1, 1]}))
+    x = f"file({path})"
+    for argv in (
+        ["reduce", "-g", z2_file, x],
+        ["is-id", "-g", z2_file, x],
+        ["eq", "-g", z2_file, x, x],
+        ["act", "-g", z2_file, x, "--point", "(0)", "--depth", "4"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and "leaves do not form a forest partition" in err
 
 
 def test_usage_error_exit_code(z2_file):

@@ -31,6 +31,8 @@ from labeled_thompson.elements import (
     VPhiElement,
     element,
     forest_element,
+    iota,
+    lambda_u,
 )
 from labeled_thompson.groups import CyclicGroup, WreathRecursion, symmetric_table
 from labeled_thompson.sampling import random_diagram, random_label, random_partition
@@ -322,6 +324,24 @@ def test_public_constructors_reject_non_partitions():
         forest_element(ctx, [((0, "0"), one, (0, "")), ((0, "1"), one, (1, "0"))], 1, 2)
     with pytest.raises(ValueError, match="domain leaves"):
         LabeledDiagram(ctx, [((0, ""), one, (0, "0")), ((0, "0"), one, (0, "1"))])
+    # words that are not binary: their cones would still measure 1
+    with pytest.raises(ValueError, match="domain leaves"):
+        LabeledDiagram(ctx, [((0, "0"), one, (0, "0")), ((0, "2"), one, (0, "1"))])
+    with pytest.raises(ValueError, match="range leaves"):
+        tree_diagram(ctx, ["0", "1"], [one, one], ["a", "b"])
+    with pytest.raises(ValueError, match="domain leaves"):
+        forest_element(ctx, [((0, "0"), one, (0, "0")), ((0, "2"), one, (0, "1"))], 1, 1)
+
+
+def test_cone_words_that_are_not_binary_are_refused():
+    ctx = S3_DIAG
+    g = ctx.source_backend.element(1)
+    with pytest.raises(ValueError, match="not a binary word") as exc:
+        lambda_u(ctx, "2", g)
+    assert exc.type is ValueError
+    with pytest.raises(ValueError, match="not a binary word") as exc:
+        germs.label_at(iota(ctx, g), "2")
+    assert not isinstance(exc.value, germs.LabelUndefined)
 
 
 def _round_trip(x):

@@ -4,7 +4,12 @@ import pytest
 
 from labeled_thompson import elements as E
 from labeled_thompson import splinter as S
-from labeled_thompson.groups import SymmetricGroup
+from labeled_thompson.groups import (
+    CyclicGroup,
+    ProductGroup,
+    SymmetricGroup,
+    symmetric_table,
+)
 from labeled_thompson.sampling import random_element
 
 
@@ -17,20 +22,38 @@ def random_point(rng, gset, depth):
 def test_gset_regular_and_custom(s3_diag):
     gs = S.GSet.regular(s3_diag.source_backend)
     assert gs.size == 6
-    # natural S3 action on three points, via a permutation backend
-    sym = SymmetricGroup(3)
 
-    def act(x, g):
-        return g.value[x] - 1
 
-    natural = S.GSet(3, act, sym)
-    assert natural.size == 3
+@pytest.mark.parametrize(
+    "backend",
+    [
+        symmetric_table(3),
+        CyclicGroup(4),
+        SymmetricGroup(3),
+        ProductGroup([CyclicGroup(2), SymmetricGroup(3)]),
+    ],
+    ids=["s3-table", "z4", "s3-perm", "z2xs3"],
+)
+def test_regular_gset_is_a_faithful_right_action(backend):
+    # what GSet no longer checks at run time: x.1 = x, (x.g).h = x.(gh), and
+    # only the identity fixes every point
+    gs = S.GSet.regular(backend)
+    elems = list(backend.elements())
+    pts = range(gs.size)
+    assert gs.size == len(elems)
+    assert all(gs.act(x, backend.one()) == x for x in pts)
+    for g in elems:
+        for h in elems:
+            gh = g * h
+            assert all(gs.act(gs.act(x, g), h) == gs.act(x, gh) for x in pts)
+    for g in elems:
+        fixes_all = all(gs.act(x, g) == x for x in pts)
+        assert fixes_all == g.is_identity()
 
-    def broken(x, g):
-        return x  # every element acts trivially: not faithful
 
-    with pytest.raises(ValueError, match="faithful"):
-        S.GSet(3, broken, sym)
+def test_gset_refuses_an_infinite_group():
+    with pytest.raises(ValueError, match="finite"):
+        S.GSet.regular(CyclicGroup(None))
 
 
 def test_identity_fixes_everything(s3_diag, rng):
