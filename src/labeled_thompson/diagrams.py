@@ -9,17 +9,18 @@ injective.  Canonical storage sorts columns by domain leaf, so the leaf
 permutation is derived, never stored.
 
 Sibling domain leaves are adjacent in that order, so `reduce` and
-`expand_to` are each one left-to-right walk over the columns, made of the
-one-step moves `simple_reduce` and `simple_expand`.
+`expand_to` are each one left-to-right pass over the columns, made of the
+column moves `simple_reduce` and `simple_expand`.
 
 Validation happens once, at the boundary.  The `LabeledDiagram`
 constructor sorts the columns and checks both forest partitions and the
 labels' group; `tree_diagram`, `from_parts`, `identity_diagram`, `invert`, the element
-helpers and JSON all build through it.  The two one-step moves and
+helpers and JSON all build through it.  `expand_to`, `reduce` and
 `compose` build their results with the unchecked `LabeledDiagram._trusted`,
 because they cannot break a valid diagram, and so does
 `complexes._class_element`, whose descending-link representatives are
-valid and reduced by construction (see its docstring).  A move replaces a leaf by its
+valid and reduced by construction (see its docstring).  The trust argument
+covers one column move at a time: a move replaces a leaf by its
 two children, or two sibling leaves by their parent, which keeps both
 forest partitions; a leaf's children sort directly after it, so the
 columns stay in domain order; and the new labels come from the context's
@@ -29,8 +30,7 @@ finds in one sorted pass over both leaf sets: its domain leaves are those of
 the first expansion, in the same order, and its range leaves those of the
 second, each once, since the first's range and the second's domain are the
 refinement itself; its labels are products in the context's group.  So
-neither the intermediate diagrams of a walk nor the products are checked
-one by one.
+neither the moves of a pass nor the products are checked one by one.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class LabeledDiagram:
         n_roots: int,
     ) -> "LabeledDiagram":
         """A diagram from columns already known to be valid and in domain
-        order; nothing is sorted or checked.  Only the one-step moves,
+        order; nothing is sorted or checked.  Only `expand_to`, `reduce`,
         `compose` and `complexes._class_element` use it (see the module
         docstring for why their results are valid)."""
         d = object.__new__(cls)
@@ -200,104 +200,101 @@ class LabeledDiagram:
 
     # -- the calculus ----------------------------------------------------
 
-    def simple_expand(self, k: int) -> "LabeledDiagram":
-        """Split column k via the recursion; the result represents the same
-        groupoid element."""
-        (root, u), g, (rroot, v) = self.columns[k]
-        img = self.context.recursion.apply(g)
-        cols = self.columns
-        new = cols[:k] + (
+    @staticmethod
+    def simple_expand(context: Context, column: Column) -> tuple[Column, Column]:
+        """Split one column via the recursion into its two children, in
+        domain order; together they represent the same map."""
+        (root, u), g, (rroot, v) = column
+        img = context.recursion.apply(g)
+        return (
             ((root, u + "0"), img.left, (rroot, v + img.apply_bit("0"))),
             ((root, u + "1"), img.right, (rroot, v + img.apply_bit("1"))),
-        ) + cols[k + 1 :]
-        return LabeledDiagram._trusted(self.context, new, self.m_roots, self.n_roots)
+        )
 
-    def simple_reduce(self, k: int) -> Optional["LabeledDiagram"]:
-        """Merge columns k, k+1 when they are a compatible sibling pair.
-
-        Requires: sibling domain leaves, sibling range leaves, and a
-        recursion preimage of the induced slot pair; returns None when the
-        pair does not merge.
-        """
-        if k + 1 >= len(self.columns):
-            return None
-        (r0, u0), g0, (s0, v0) = self.columns[k]
-        (r1, u1), g1, (s1, v1) = self.columns[k + 1]
+    @staticmethod
+    def simple_reduce(context: Context, left: Column, right: Column) -> Optional[Column]:
+        """The parent of two adjacent columns, or None unless their domain
+        leaves and their range leaves are siblings and the induced slot pair
+        has a recursion preimage."""
+        (r0, u0), g0, (s0, v0) = left
+        (r1, u1), g1, (s1, v1) = right
         if r0 != r1 or not u0 or u0[:-1] != u1[:-1] or u0[-1] != "0" or u1[-1] != "1":
             return None
         if s0 != s1 or not v0 or not v1 or v0[:-1] != v1[:-1] or v0[-1] == v1[-1]:
             return None
-        swap = v0[-1] == "1"
-        g = self.context.recursion.preimage(
-            WreathImage(g0, g1, swap)
-        )
+        g = context.recursion.preimage(WreathImage(g0, g1, v0[-1] == "1"))
         if g is None:
             return None
-        cols = self.columns
-        new = cols[:k] + (((r0, u0[:-1]), g, (s0, v0[:-1])),) + cols[k + 2 :]
-        return LabeledDiagram._trusted(self.context, new, self.m_roots, self.n_roots)
-
-    def reduction_sites(self) -> list[int]:
-        """Indices k where columns k, k+1 merge under simple_reduce."""
-        return [k for k in range(len(self.columns) - 1) if self.simple_reduce(k) is not None]
+        return ((r0, u0[:-1]), g, (s0, v0[:-1]))
 
     def reduce(self) -> "LabeledDiagram":
-        """The unique reduced representative of this diagram's class.
+        """The unique reduced representative of this diagram's class; self
+        when nothing merges.
 
-        One left-to-right walk of an index k over the lex-sorted columns,
-        trying simple_reduce(k) at each step.  Sibling domain leaves are
-        adjacent, so a merge at k leaves one new column at k whose only
-        possible partners are its neighbours: after a merge the walk steps
-        back to k-1, otherwise it advances.  Every pair left of k stays
-        unmergeable, so the walk ends on a reduced diagram.  Any other
-        order ends on the same one: two merge sites never share a column
-        (a site's left domain leaf ends in 0, its right one in 1), so merges
-        at different sites commute, and each merge removes a column.
+        One pass over the lex-sorted columns: each incoming column merges
+        with the top of a stack while simple_reduce gives a parent, which is
+        then pushed.  Sibling domain leaves are adjacent, so a merged
+        column's only partners are the top of the stack and the next
+        incoming column, and the pass ends on a reduced diagram.  Any other
+        order ends on the same one: two merge sites never share a column (a
+        site's left domain leaf ends in 0, its right one in 1), so merges at
+        different sites commute, and each merge removes a column.
         """
-        cur = self
-        k = 0
-        while k + 1 < len(cur.columns):
-            merged = cur.simple_reduce(k)
-            if merged is None:
-                k += 1
-            else:
-                cur = merged
-                k = max(k - 1, 0)
-        return cur
+        context = self.context
+        stack: list[Column] = []
+        for col in self.columns:
+            while stack:
+                parent = LabeledDiagram.simple_reduce(context, stack[-1], col)
+                if parent is None:
+                    break
+                stack.pop()
+                col = parent
+            stack.append(col)
+        if len(stack) == len(self.columns):
+            return self
+        return LabeledDiagram._trusted(context, tuple(stack), self.m_roots, self.n_roots)
 
     def is_reduced(self) -> bool:
-        return not self.reduction_sites()
+        return self.reduce() is self
 
     def expand_to(
         self, target: Sequence[Leaf], on_range: bool = False
     ) -> "LabeledDiagram":
         """Expand until the domain (or, with on_range, the range) partition
-        equals `target` exactly.
+        equals `target` exactly; self when nothing splits.
 
-        One left-to-right walk: a column whose leaf is not in the target is
-        split in place by simple_expand and examined again, since its two
-        halves land at k and k+1.  Splitting a column always splits its
-        range leaf into the two children, whatever the swap does to their
-        pairing, so the same walk serves both sides.  A leaf that reaches
-        the target's depth without matching shows that the target does not
-        refine this partition.
+        One left-to-right pass: a column whose leaf is not in the target is
+        split into its subtree down to the target, depth first with the left
+        child on top, so the columns stay in domain order.  Splitting a
+        column always splits its range leaf into the two children, whatever
+        the swap does to their pairing, so the same pass serves both sides.
+        A leaf that reaches the target's depth without matching shows that
+        the target does not refine this partition.
         """
         side, name = (2, "range") if on_range else (0, "domain")
         want = set(target)
         depth = max((len(w) for _, w in want), default=0)
-        cur = self
-        k = 0
-        while k < len(cur.columns):
-            leaf = cur.columns[k][side]
-            if leaf in want:
-                k += 1
-            elif len(leaf[1]) < depth:
-                cur = cur.simple_expand(k)
-            else:
-                raise ValueError(f"target does not refine the {name}")
-        if len(cur.columns) != len(want):
+        context = self.context
+        cols: list[Column] = []
+        for col in self.columns:
+            if col[side] in want:
+                cols.append(col)
+                continue
+            todo = [col]
+            while todo:
+                col = todo.pop()
+                leaf = col[side]
+                if leaf in want:
+                    cols.append(col)
+                elif len(leaf[1]) < depth:
+                    todo += reversed(LabeledDiagram.simple_expand(context, col))
+                else:
+                    raise ValueError(f"target does not refine the {name}")
+        if len(cols) != len(want):
             raise ValueError(f"target does not refine the {name}")
-        return cur
+        if len(cols) == len(self.columns):
+            return self
+        return LabeledDiagram._trusted(context, tuple(cols), self.m_roots, self.n_roots)
 
     def inverse_columns(self) -> list[Column]:
         return [(r, ~g, d) for d, g, r in self.columns]

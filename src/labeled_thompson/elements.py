@@ -111,15 +111,18 @@ class VPhiElement(GroupoidElement):
     __invert__ = GroupoidElement.__invert__
 
     def __pow__(self, n: int) -> "VPhiElement":
-        """Power by repeated squaring; raises ValueError when a product on
+        """Power by repeated squaring from the first base the bits select, so
+        x^1 and x^-1 make no product; raises ValueError when a product on
         the way has more than MAX_POWER_COLUMNS columns."""
         if n < 0:
             return (~self) ** (-n)
-        out = identity(self.context)
+        if n == 0:
+            return identity(self.context)
+        out = None
         base = self
         while True:
             if n & 1:
-                out = _bounded_power(out * base)
+                out = base if out is None else _bounded_power(out * base)
             n >>= 1
             if not n:
                 return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import diagrams, elements
-from .diagrams import Context
+from .diagrams import Context, LabeledDiagram
 from .elements import VPhiElement, identity
 
 
@@ -28,12 +28,12 @@ def _require_diagonal(ctx: Context):
 def _tree_parts(a: VPhiElement) -> tuple[list[str], list, list[str]]:
     """(domain words, labels, paired range words) of a representative with
     at least two leaves."""
-    d = a.diagram
-    if len(d.columns) == 1:
-        d = d.simple_expand(0)
-    dom = [w for (_, w), _, _ in d.columns]
-    labels = [g for _, g, _ in d.columns]
-    rans = [w for _, _, (_, w) in d.columns]
+    cols = a.diagram.columns
+    if len(cols) == 1:
+        cols = LabeledDiagram.simple_expand(a.context, cols[0])
+    dom = [w for (_, w), _, _ in cols]
+    labels = [g for _, g, _ in cols]
+    rans = [w for _, _, (_, w) in cols]
     return dom, labels, rans
 
 

@@ -6,8 +6,13 @@ scans again; ``compose`` expands to a common refinement computed by an
 all-pairs prefix scan, expanding the first leaf that is not in the target
 and rescanning after every split.  Slow (about cubic in the column count),
 but it shares no walk logic with the library, which is what makes it a
-useful reference.  Only the one-step moves ``simple_expand`` and
+useful reference.  Only the column moves ``simple_expand`` and
 ``simple_reduce`` are reused.
+
+``expand_at``, ``merge_at`` and ``reduction_sites`` are the diagram-level
+one-step moves that the tests take: each applies a column move at one index
+and rebuilds the diagram through the validating ``LabeledDiagram``
+constructor, so every move a test makes is checked.
 
 ``complete_to_partition`` is the word-layer completion that the library's
 set difference replaced: it scans the words chosen so far for one that
@@ -30,8 +35,34 @@ from labeled_thompson.germs import SupportApprox, cone_data
 from labeled_thompson.words import is_partition_set, sibling
 
 
+def expand_at(d: LabeledDiagram, k: int) -> LabeledDiagram:
+    """d with column k split into its two children."""
+    cols = list(d.columns)
+    cols[k : k + 1] = LabeledDiagram.simple_expand(d.context, cols[k])
+    return LabeledDiagram(d.context, cols, d.m_roots, d.n_roots)
+
+
+def merge_at(d: LabeledDiagram, k: int) -> LabeledDiagram | None:
+    """d with columns k, k+1 merged into their parent, or None when they are
+    not a compatible sibling pair."""
+    if k + 1 >= len(d.columns):
+        return None
+    parent = LabeledDiagram.simple_reduce(d.context, d.columns[k], d.columns[k + 1])
+    if parent is None:
+        return None
+    cols = list(d.columns)
+    cols[k : k + 2] = [parent]
+    return LabeledDiagram(d.context, cols, d.m_roots, d.n_roots)
+
+
 def reduction_sites(d: LabeledDiagram) -> list[int]:
-    return [k for k in range(len(d.columns) - 1) if d.simple_reduce(k) is not None]
+    """Indices k where columns k, k+1 merge."""
+    cols = d.columns
+    return [
+        k
+        for k in range(len(cols) - 1)
+        if LabeledDiagram.simple_reduce(d.context, cols[k], cols[k + 1]) is not None
+    ]
 
 
 def reduce(d: LabeledDiagram) -> LabeledDiagram:
@@ -42,7 +73,7 @@ def reduce(d: LabeledDiagram) -> LabeledDiagram:
         if not sites:
             return cur
         k = max(sites, key=lambda i: len(cur.columns[i][0][1]))
-        cur = cur.simple_reduce(k)
+        cur = merge_at(cur, k)
 
 
 def complete_to_partition(words) -> list[str]:
@@ -98,7 +129,7 @@ def expand_to(d: LabeledDiagram, target, side: int) -> LabeledDiagram:
             if leaf not in want:
                 if not any(u[0] == leaf[0] and u[1].startswith(leaf[1]) for u in want):
                     raise ValueError("target does not refine the diagram")
-                cur = cur.simple_expand(k)
+                cur = expand_at(cur, k)
                 break
         else:
             raise ValueError("target does not refine the diagram")

@@ -7,6 +7,8 @@ stated runtime budgets.  Each test prints a single PASS line on success.
 import random
 import time
 
+from diagram_oracle import expand_at, merge_at, reduction_sites
+
 from labeled_thompson import complexes as CX
 from labeled_thompson import elements as E
 from labeled_thompson import germs as G
@@ -82,7 +84,7 @@ def test_criterion_2_confluence():
         canonical = d.reduce()
         e = d
         for _ in range(rng.randrange(11)):
-            e = e.simple_expand(rng.randrange(len(e.columns)))
+            e = expand_at(e, rng.randrange(len(e.columns)))
         assert e.reduce() == canonical
     # exhaustive all-orders agreement
     for i in range(100):
@@ -96,11 +98,11 @@ def test_criterion_2_confluence():
             if cur.key() in seen:
                 continue
             seen.add(cur.key())
-            sites = cur.reduction_sites()
+            sites = reduction_sites(cur)
             if not sites:
                 terminals.add(cur.key())
             for k in sites:
-                stack.append(cur.simple_reduce(k))
+                stack.append(merge_at(cur, k))
         assert terminals == {d.reduce().key()}
     _passed(2, "canonical-form confluence, 500 + 100 diagrams")
 

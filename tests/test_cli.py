@@ -1,8 +1,10 @@
 import itertools
 import json
+import random
 import time
 
 import pytest
+from test_diagrams import sized_diagram
 
 from labeled_thompson import complexes, elements, perfection
 from labeled_thompson.cli import (
@@ -253,6 +255,18 @@ def test_power_past_the_column_limit(z2_file, adding_file, capsys):
     argv = ["act", "-g", adding_file, "lambda(eps,t)^1099511627776", "--point", "(0)"]
     assert main(argv + ["--depth", "45"]) == 0
     assert capsys.readouterr().out.strip() == "0" * 40 + "1" + "0" * 4
+
+
+def test_power_one_of_a_large_element(tmp_path, z2_file, z2_diag, capsys):
+    # x^-1 makes no product, so an element past the power column limit
+    # still has an inverse through ^-1
+    d = sized_diagram(random.Random(8192), z2_diag, 8192)
+    columns = [{"dom": u, "label": "g" if g.value else "0", "ran": v} for (_, u), g, (_, v) in d.columns]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"columns": columns, "kind": "tree", "roots": [1, 1]}))
+    assert main(["is-id", "-g", z2_file, f"file({big})*file({big})^-1"]) == 0
+    assert "identity: true" in capsys.readouterr().out
+    assert main(["is-id", "-g", z2_file, f"file({big})^1*file({big})^-1"]) == 0
 
 
 def test_word_depth_limit(z2_file, adding_file, capsys):

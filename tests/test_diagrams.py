@@ -1,12 +1,16 @@
 import random
+import time
 
 import pytest
 
+from diagram_oracle import expand_at, merge_at, reduction_sites
+
 from labeled_thompson import diagrams
 from labeled_thompson.diagrams import Context, LabeledDiagram, tree_diagram
+from labeled_thompson.elements import VPhiElement
 from labeled_thompson.groups import CyclicGroup, WreathRecursion
 from labeled_thompson.sampling import random_diagram
-from labeled_thompson.words import is_forest_partition
+from labeled_thompson.words import EventuallyPeriodicWord, is_forest_partition
 
 
 def cols_of(d):
@@ -23,29 +27,29 @@ def all_reduced_forms(d):
         if cur.key() in seen:
             continue
         seen.add(cur.key())
-        sites = cur.reduction_sites()
+        sites = reduction_sites(cur)
         if not sites:
             terminals.add(cur.key())
             continue
         for k in sites:
-            stack.append(cur.simple_reduce(k))
+            stack.append(merge_at(cur, k))
     return terminals
 
 
 def test_simple_expand_diagonal(z2_diag):
     g = z2_diag.source_backend.element(1)
     d = tree_diagram(z2_diag, [""], [g], [""])
-    d2 = d.simple_expand(0)
+    d2 = expand_at(d, 0)
     assert cols_of(d2) == [("0", 1, "0"), ("1", 1, "1")]
     # trivial label expands to identities
-    e = tree_diagram(z2_diag, [""], [z2_diag.one()], [""]).simple_expand(0)
+    e = expand_at(tree_diagram(z2_diag, [""], [z2_diag.one()], [""]), 0)
     assert cols_of(e) == [("0", 0, "0"), ("1", 0, "1")]
 
 
 def test_simple_expand_adding(z_adding):
     t = z_adding.source_backend.element(1)
     d = tree_diagram(z_adding, [""], [t], [""])
-    d2 = d.simple_expand(0)
+    d2 = expand_at(d, 0)
     assert cols_of(d2) == [("0", 0, "1"), ("1", 1, "0")]
 
 
@@ -53,7 +57,7 @@ def test_expand_preserves_partitions(z_adding, rng):
     for _ in range(100):
         d = random_diagram(rng, z_adding)
         k = rng.randrange(len(d.columns))
-        d2 = d.simple_expand(k)
+        d2 = expand_at(d, k)
         assert is_forest_partition(d2.domain(), 1)
         assert is_forest_partition(d2.range_(), 1)
         assert len(d2.columns) == len(d.columns) + 1
@@ -62,15 +66,15 @@ def test_expand_preserves_partitions(z_adding, rng):
 def test_simple_reduce_examples(z2_diag, z_adding):
     g = z2_diag.source_backend.element(1)
     d = tree_diagram(z2_diag, ["0", "1"], [g, g], ["0", "1"])
-    merged = d.simple_reduce(0)
+    merged = merge_at(d, 0)
     assert merged is not None and cols_of(merged) == [("", 1, "")]
     # different labels have no diagonal preimage
     d2 = tree_diagram(z2_diag, ["0", "1"], [g, z2_diag.one()], ["0", "1"])
-    assert d2.simple_reduce(0) is None
+    assert merge_at(d2, 0) is None
     # adding machine: inverse of the expansion rule
     t = z_adding.source_backend.element(1)
     d3 = tree_diagram(z_adding, ["0", "1"], [z_adding.one(), t], ["1", "0"])
-    merged3 = d3.simple_reduce(0)
+    merged3 = merge_at(d3, 0)
     assert merged3 is not None and cols_of(merged3) == [("", 1, "")]
 
 
@@ -105,7 +109,7 @@ def test_expand_then_reduce_round_trip(z_adding, s3_diag, z3_right, rng):
             d = random_diagram(rng, ctx).reduce()
             e = d
             for _ in range(rng.randrange(1, 6)):
-                e = e.simple_expand(rng.randrange(len(e.columns)))
+                e = expand_at(e, rng.randrange(len(e.columns)))
             assert e.reduce() == d
 
 
@@ -115,7 +119,7 @@ def test_confluence_all_orders(z2_diag, s3_diag, z_adding, rng):
         for _ in range(40):
             d = random_diagram(rng, ctx, max_splits=2)
             for _ in range(rng.randrange(3)):
-                d = d.simple_expand(rng.randrange(len(d.columns)))
+                d = expand_at(d, rng.randrange(len(d.columns)))
             forms = all_reduced_forms(d)
             assert len(forms) == 1
             assert next(iter(forms)) == d.reduce().key()
@@ -181,4 +185,68 @@ def test_column_counts(z3_right, rng):
         d = random_diagram(rng, z3_right)
         assert len(d.columns) >= 1
         k = rng.randrange(len(d.columns))
-        assert len(d.simple_expand(k).columns) == len(d.columns) + 1
+        assert len(expand_at(d, k).columns) == len(d.columns) + 1
+
+
+def sized_diagram(rng, ctx, leaves):
+    """A random tree diagram with exactly the given number of leaves."""
+
+    def partition():
+        words = [""]
+        while len(words) < leaves:
+            w = words.pop(rng.randrange(len(words)))
+            words += [w + "0", w + "1"]
+        return sorted(words)
+
+    dom, ran = partition(), partition()
+    rng.shuffle(ran)
+    labels = [ctx.backend.element(rng.randrange(2)) for _ in dom]
+    return tree_diagram(ctx, dom, labels, ran)
+
+
+def test_compose_builds_four_diagrams(z2_diag, rng, monkeypatch):
+    """A product builds its two expansions, the product and its reduction,
+    however many columns the expansions split: the passes do not build a
+    diagram per move."""
+    a = sized_diagram(rng, z2_diag, 128)
+    b = sized_diagram(rng, z2_diag, 128)
+    mid = diagrams.forest_refinement(a.range_(), b.domain())
+    assert len(mid) > 128 + 16
+    built = []
+    trusted = LabeledDiagram._trusted.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(LabeledDiagram, "_trusted", classmethod(counting))
+    diagrams.compose(a, b)
+    assert 1 <= len(built) <= 4
+
+
+def test_passes_that_change_nothing_return_the_diagram(z2_diag, s3_diag, z_adding, rng):
+    for ctx in (z2_diag, s3_diag, z_adding):
+        for _ in range(30):
+            d = random_diagram(rng, ctx, max_splits=5)
+            assert d.expand_to(d.domain()) is d
+            assert d.expand_to(d.range_(), on_range=True) is d
+            r = d.reduce()
+            assert r.reduce() is r
+            assert r.is_reduced()
+
+
+def test_products_at_eight_thousand_leaves(z2_diag):
+    """c = a*b at 8,192 leaves: c * ~b gives back a, and c acts as a then b.
+    Linear passes do this in well under a second; a pass that builds a
+    diagram per move took several."""
+    rng = random.Random(8192)
+    start = time.perf_counter()
+    a = VPhiElement(sized_diagram(rng, z2_diag, 8192))
+    b = VPhiElement(sized_diagram(rng, z2_diag, 8192))
+    c = a * b
+    assert c * ~b == a
+    for _ in range(3):
+        prefix = "".join(rng.choice("01") for _ in range(40))
+        p = EventuallyPeriodicWord(prefix, rng.choice(["0", "1", "01"]))
+        assert c.act_word(p, 80) == b.act_word(a.act_point(p), 80)
+    assert time.perf_counter() - start < 2.0

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from test_diagrams import sized_diagram
 
 from labeled_thompson import elements as E
 from labeled_thompson.diagrams import Context, ContextMismatch
@@ -49,6 +50,20 @@ def test_power_column_limit(z2_diag, z_adding, monkeypatch):
     # an element whose powers stay small is not limited by the exponent
     t = E.element(z_adding, [""], [z_adding.source_backend.element(1)], [""])
     assert (t ** (1 << 40)).act_word(OMEGA0, 45) == lsb_word(1 << 40, 45)
+
+
+def test_powers_one_and_minus_one_make_no_product(z2_diag, monkeypatch):
+    # x^1, x^-1 and x^0 are x, ~x and the identity, past the column limit
+    x = E.VPhiElement(sized_diagram(random.Random(5000), z2_diag, 5000))
+    assert len(x.diagram.columns) > E.MAX_POWER_COLUMNS
+
+    def no_product(*args):
+        raise AssertionError("a power of exponent 0 or +-1 made a product")
+
+    monkeypatch.setattr(E.diagrams, "compose", no_product)
+    assert x ** 1 == x
+    assert x ** -1 == ~x
+    assert (x ** 0).is_identity()
 
 
 def test_odometer_square(z_adding):

@@ -74,7 +74,7 @@ def _relabel(d, rng, times):
 
 def _grow(d, rng, leaves):
     while len(d.columns) < leaves:
-        d = d.simple_expand(rng.randrange(len(d.columns)))
+        d = oracle.expand_at(d, rng.randrange(len(d.columns)))
     return d
 
 
@@ -246,12 +246,11 @@ def _assert_valid(d):
 
 
 def _assert_moves_valid(d, rng):
-    """Every one-step move and every walk from d yields a valid diagram."""
+    """Every one-step move and every pass from d yields a valid diagram; the
+    oracle's moves rebuild through the validating constructor."""
     for k in range(len(d.columns)):
-        _assert_valid(d.simple_expand(k))
-        merged = d.simple_reduce(k)
-        if merged is not None:
-            _assert_valid(merged)
+        oracle.expand_at(d, k)
+        oracle.merge_at(d, k)
     finer = _grow(d, rng, len(d.columns) + rng.randint(1, 8))
     _assert_valid(d.expand_to(finer.domain()))
     _assert_valid(d.expand_to(finer.range_(), on_range=True))
@@ -303,11 +302,11 @@ def test_trusted_products_pass_validation(ctx, data):
 
 
 def test_trusted_constructor_only_in_one_step_moves():
-    """The one-step moves, `compose` and the descending-link class
-    representatives are the only unchecked builders."""
+    """The expansion and reduction passes, `compose` and the descending-link
+    class representatives are the only unchecked builders."""
     assert set(package_calls({"_trusted"})) == {
-        ("diagrams.py", "LabeledDiagram.simple_expand"),
-        ("diagrams.py", "LabeledDiagram.simple_reduce"),
+        ("diagrams.py", "LabeledDiagram.expand_to"),
+        ("diagrams.py", "LabeledDiagram.reduce"),
         ("diagrams.py", "compose"),
         ("complexes.py", "_class_element"),
     }
