@@ -8,33 +8,36 @@ recursion; merging such a sibling pair back needs the recursion to be
 injective.  Canonical storage sorts columns by domain leaf, so the leaf
 permutation is derived, never stored.
 
-Sibling domain leaves are adjacent in that order, so `reduce` and
-`expand_to` are each one left-to-right pass over the columns, made of the
-column moves `simple_reduce` and `simple_expand`.
+Sibling domain leaves are adjacent in that order, so `reduce` is one
+left-to-right pass over the columns, made of the column move
+`simple_reduce`; `compose` is one pass over the first factor's columns,
+splitting columns of either factor with `simple_expand` as it needs them.
 
 Validation happens once, at the boundary.  The `LabeledDiagram`
 constructor sorts the columns and checks both forest partitions and the
-labels' group; `tree_diagram`, `from_parts`, `identity_diagram`, `invert`, the element
-helpers and JSON all build through it.  `expand_to`, `reduce` and
-`compose` build their results with the unchecked `LabeledDiagram._trusted`,
-because they cannot break a valid diagram, and so does
-`complexes._class_element`, whose descending-link representatives are
-valid and reduced by construction (see its docstring).  The trust argument
-covers one column move at a time: a move replaces a leaf by its
-two children, or two sibling leaves by their parent, which keeps both
-forest partitions; a leaf's children sort directly after it, so the
-columns stay in domain order; and the new labels come from the context's
-own recursion.  A product takes its columns from the expansions of two
-valid diagrams to their common refinement, which `forest_refinement`
-finds in one sorted pass over both leaf sets: its domain leaves are those of
-the first expansion, in the same order, and its range leaves those of the
-second, each once, since the first's range and the second's domain are the
-refinement itself; its labels are products in the context's group.  So
-neither the moves of a pass nor the products are checked one by one.
+labels' group; `tree_diagram`, `from_parts`, `identity_diagram`, `invert`,
+the element helpers and JSON all build through it.  `reduce` and `compose`
+build their results with the unchecked `LabeledDiagram._trusted`, because
+they cannot break a valid diagram, and so does `complexes._class_element`,
+whose descending-link representatives are valid and reduced by
+construction (see its docstring).  The trust argument covers one column
+move at a time: a move replaces a leaf by its two children, or two sibling
+leaves by their parent, which keeps both forest partitions; a leaf's
+children sort directly after it, so the columns stay in domain order; and
+the new labels come from the context's own recursion.  A product emits
+one column for each leaf of the common refinement of a's range and b's
+domain: a column of a, whole or split by column moves, paired with the
+column of b, whole or split, at its range leaf.  Its domain leaves are
+a's, split, in a's domain order; its range leaves are b's, split, each
+once, since every refinement leaf is one range leaf of the split a and one
+domain leaf of the split b; and its labels are products in the context's
+group.  So neither the moves of a pass nor the products are checked one
+by one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Optional, Sequence
 
 from .groups import (
@@ -142,9 +145,9 @@ class LabeledDiagram:
         n_roots: int,
     ) -> "LabeledDiagram":
         """A diagram from columns already known to be valid and in domain
-        order; nothing is sorted or checked.  Only `expand_to`, `reduce`,
-        `compose` and `complexes._class_element` use it (see the module
-        docstring for why their results are valid)."""
+        order; nothing is sorted or checked.  Only `reduce`, `compose` and
+        `complexes._class_element` use it (see the module docstring for why
+        their results are valid)."""
         d = object.__new__(cls)
         d.context = context
         d.columns = columns
@@ -257,69 +260,24 @@ class LabeledDiagram:
     def is_reduced(self) -> bool:
         return self.reduce() is self
 
-    def expand_to(
-        self, target: Sequence[Leaf], on_range: bool = False
-    ) -> "LabeledDiagram":
-        """Expand until the domain (or, with on_range, the range) partition
-        equals `target` exactly; self when nothing splits.
-
-        One left-to-right pass: a column whose leaf is not in the target is
-        split into its subtree down to the target, depth first with the left
-        child on top, so the columns stay in domain order.  Splitting a
-        column always splits its range leaf into the two children, whatever
-        the swap does to their pairing, so the same pass serves both sides.
-        A leaf that reaches the target's depth without matching shows that
-        the target does not refine this partition.
-        """
-        side, name = (2, "range") if on_range else (0, "domain")
-        want = set(target)
-        depth = max((len(w) for _, w in want), default=0)
-        context = self.context
-        cols: list[Column] = []
-        for col in self.columns:
-            if col[side] in want:
-                cols.append(col)
-                continue
-            todo = [col]
-            while todo:
-                col = todo.pop()
-                leaf = col[side]
-                if leaf in want:
-                    cols.append(col)
-                elif len(leaf[1]) < depth:
-                    todo += reversed(LabeledDiagram.simple_expand(context, col))
-                else:
-                    raise ValueError(f"target does not refine the {name}")
-        if len(cols) != len(want):
-            raise ValueError(f"target does not refine the {name}")
-        if len(cols) == len(self.columns):
-            return self
-        return LabeledDiagram._trusted(context, tuple(cols), self.m_roots, self.n_roots)
-
     def inverse_columns(self) -> list[Column]:
         return [(r, ~g, d) for d, g, r in self.columns]
 
 
-def forest_refinement(p: Sequence[Leaf], q: Sequence[Leaf]) -> list[Leaf]:
-    """Coarsest common refinement of two forest partitions on the same roots.
-
-    The inputs are leaves of validated diagrams and are not checked again;
-    `expand_to` refuses a target that its expansion does not reach exactly.
-    In (root, word) order a leaf's extensions sort directly after it, so a
-    leaf is kept unless its successor extends it under the same root.
-    """
-    pool = sorted(set(p) | set(q))
-    out = [a for a, b in zip(pool, pool[1:]) if a[0] != b[0] or not b[1].startswith(a[1])]
-    out.append(pool[-1])
-    return out
-
-
 def compose(a: LabeledDiagram, b: LabeledDiagram) -> LabeledDiagram:
-    """Groupoid composition (first a, then b), reduced.
+    """Groupoid composition (first a, then b), reduced; the convention is
+    the right action (w)(ab) = ((w)a)b.
 
-    Expands a's range and b's domain to their common refinement, matches
-    columns through it, and multiplies labels; the convention is the right
-    action (w)(ab) = ((w)a)b.
+    One pass over a's columns in domain order, matching each range leaf r
+    of a with b's domain leaf at r.  When b has no leaf at r, its leaves
+    either split r's cone or one of them is a proper prefix of r.  In the
+    first case a's column is split, depth first with the left child on
+    top, so the product's columns stay in domain order; its children are
+    never finer than b's leaves.  In the second, b's covering column, the
+    one at the greatest domain leaf up to r, is split down to r, and every
+    split joins the lookup of b's columns by domain leaf.  So a node of the
+    common refinement is split once on each side, in whatever order a's
+    range leaves visit b's columns.
     """
     if a.context is not b.context:
         raise ContextMismatch("cannot compose elements of different contexts")
@@ -327,15 +285,33 @@ def compose(a: LabeledDiagram, b: LabeledDiagram) -> LabeledDiagram:
         raise ValueError(
             f"arity mismatch: {a.n_roots} range roots vs {b.m_roots} domain roots"
         )
-    mid = forest_refinement(a.range_(), b.domain())
-    ax = a.expand_to(mid, on_range=True)
-    bx = b.expand_to(mid)
-    bcols = {d: (g, r) for d, g, r in bx.columns}
-    cols = []
-    for d, g, r in ax.columns:
-        h, w = bcols[r]
-        cols.append((d, g * h, w))
-    return LabeledDiagram._trusted(a.context, tuple(cols), a.m_roots, b.n_roots).reduce()
+    context = a.context
+    bdom = b.domain()
+    bcols = {c[0]: c for c in b.columns}
+    cols: list[Column] = []
+    for col in a.columns:
+        todo = [col]
+        while todo:
+            d, g, r = col = todo.pop()
+            match = bcols.get(r)
+            if match is None:
+                root, word = r
+                i = bisect_right(bdom, r)
+                cover_root, cover = bdom[i - 1] if i else (None, "")
+                if cover_root != root or not word.startswith(cover):
+                    todo += reversed(LabeledDiagram.simple_expand(context, col))
+                    continue
+                match = b.columns[i - 1]
+                for k in range(len(cover) + 1, len(word) + 1):
+                    child = bcols.get((root, word[:k]))
+                    if child is None:
+                        left, right = LabeledDiagram.simple_expand(context, match)
+                        bcols[left[0]] = left
+                        bcols[right[0]] = right
+                        child = left if word[k - 1] == "0" else right
+                    match = child
+            cols.append((d, g * match[1], match[2]))
+    return LabeledDiagram._trusted(context, tuple(cols), a.m_roots, b.n_roots).reduce()
 
 
 def invert(a: LabeledDiagram) -> LabeledDiagram:

@@ -519,12 +519,26 @@ class WreathRecursion:
                 raise ValueError("custom rule needs a lookup table")
             if not backend.is_finite():
                 raise ValueError(f"{rule} tables require a finite backend")
-            self.table = {
-                v: (img[0], img[1], bool(img[2])) for v, img in table.items()
-            }
+            self._take_table({v: (img[0], img[1], bool(img[2])) for v, img in table.items()})
             self._validate_custom()
-            self._preimage = {img: v for v, img in self.table.items()}
-            self._injective = len(self._preimage) == len(self.table)
+
+    @classmethod
+    def _trusted(cls, backend: GroupBackend, table: dict) -> "WreathRecursion":
+        """The custom rule of a table already known to be a homomorphism on
+        every element of a finite backend, with entries (left, right, swap)
+        of values and a bool; nothing is checked.  Only `_push_recursion`
+        uses it (see its docstring for why its tables qualify)."""
+        phi = object.__new__(cls)
+        phi.backend = backend
+        phi.rule = "custom"
+        phi.kappa = None
+        phi._take_table(table)
+        return phi
+
+    def _take_table(self, table: dict):
+        self.table = table
+        self._preimage = {img: v for v, img in table.items()}
+        self._injective = len(self._preimage) == len(table)
 
     # -- validation ---------------------------------------------------
 
@@ -665,7 +679,13 @@ def injectivize(
 
 
 def _push_recursion(phi, target: FiniteTableGroup, qmap: dict, source_values) -> WreathRecursion:
-    """Induce a recursion on a quotient/copy along value map qmap."""
+    """Induce a recursion on a quotient/copy along value map qmap.
+
+    qmap is a surjective homomorphism onto target (the rebasing bijection or
+    a quotient map) and phi a homomorphism, valid when it was built.  Once
+    the images are checked to descend, the induced table is the homomorphism
+    that phi induces, defined on every element of target; so it is built
+    unchecked, without the quadratic homomorphism check."""
     table = {}
     for v in source_values:
         img = phi.apply(phi.backend.element(v))
@@ -674,7 +694,7 @@ def _push_recursion(phi, target: FiniteTableGroup, qmap: dict, source_values) ->
         if prev is not None and prev != entry:
             raise ValueError("map does not descend to the quotient")
         table[qmap[v]] = entry
-    return WreathRecursion(target, "custom", table=table)
+    return WreathRecursion._trusted(target, table)
 
 
 def _quotient(G: FiniteTableGroup, kernel: set) -> tuple[FiniteTableGroup, dict]:

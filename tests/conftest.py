@@ -11,6 +11,23 @@ from labeled_thompson.groups import (
 )
 
 
+@pytest.fixture(autouse=True)
+def pushed_recursions(monkeypatch):
+    """Every recursion that `injectivize` builds unchecked, one per tower
+    step, each run through the homomorphism check that it skips."""
+    built = []
+    trusted = WreathRecursion._trusted.__func__
+
+    def checked(cls, backend, table):
+        phi = trusted(cls, backend, table)
+        phi._validate_custom()
+        built.append(phi)
+        return phi
+
+    monkeypatch.setattr(WreathRecursion, "_trusted", classmethod(checked))
+    return built
+
+
 def make_context(backend, rule, **kw) -> Context:
     return Context(backend, WreathRecursion(backend, rule, **kw))
 

@@ -448,38 +448,44 @@ def test_tree_action_is_right_action():
 # -- injectivization -----------------------------------------------------------
 
 
-def test_injectivize_vanishing_z2():
+def test_injectivize_vanishing_z2(pushed_recursions):
     rec = WreathRecursion(CyclicGroup(2), "vanishing")
     hat, pi, hat_rec, steps = injectivize(rec)
     assert steps == 1 and hat.n == 1
+    # the rebased copy and one quotient, each checked to be a homomorphism
+    assert len(pushed_recursions) == steps + 1
+    assert pushed_recursions[-1] is hat_rec
     assert hat_rec.is_injective() is True
 
 
-def test_injectivize_doubling_z4():
+def test_injectivize_doubling_z4(pushed_recursions):
     z4 = cyclic_table(4)
     rec = WreathRecursion(
         z4, "custom", table={v: ((2 * v) % 4, (2 * v) % 4, False) for v in range(4)}
     )
     hat, pi, hat_rec, steps = injectivize(rec)
     assert steps == 2 and hat.n == 1
+    assert len(pushed_recursions) == steps + 1
 
 
-def test_injectivize_already_injective():
+def test_injectivize_already_injective(pushed_recursions):
     s3 = symmetric_table(3)
     rec = WreathRecursion(s3, "diagonal")
     hat, pi, hat_rec, steps = injectivize(rec)
     assert steps == 0 and hat.n == 6
+    assert pushed_recursions == [hat_rec]
     # pi is an isomorphism here
     seen = {pi(g).value for g in s3.elements()}
     assert len(seen) == 6
 
 
-def test_injectivize_commuting_square():
+def test_injectivize_commuting_square(pushed_recursions):
     z4 = cyclic_table(4)
     rec = WreathRecursion(
         z4, "custom", table={v: ((v * 2) % 4, 0, False) for v in range(4)}
     )
     hat, pi, hat_rec, steps = injectivize(rec)
+    assert len(pushed_recursions) == steps + 1
     for g in z4.elements():
         img = rec.apply(g)
         assert hat_rec.apply(pi(g)) == WreathImage(pi(img.left), pi(img.right), img.swap)

@@ -1,7 +1,9 @@
 """Differential tests: the one-pass diagram kernel against the rescanning
 reference in diagram_oracle, the column search of the Cantor action against
 a linear scan, and the unchecked results of the one-step moves and of
-`compose` against the validating `LabeledDiagram` constructor.
+`compose` against the validating `LabeledDiagram` constructor.  The product
+is also held to the oracle's number of column splits: one per internal node
+of the common refinement on each side.
 
 Diagrams are random small diagrams expanded at random columns to 16-128
 leaves, with a few labels then changed so that only part of the expansion
@@ -22,7 +24,6 @@ from labeled_thompson.diagrams import (
     Context,
     LabeledDiagram,
     compose,
-    forest_refinement,
     invert,
     tree_diagram,
 )
@@ -86,6 +87,15 @@ def tree_diagrams(draw, ctx, leaves=(16, 128)):
     return _relabel(d, rng, draw(st.integers(0, 4)))
 
 
+def _paired(ctx, rng, dom, ran, m=1, n=1):
+    """A diagram pairing the leaves dom with ran in random order, with random
+    labels."""
+    ran = list(ran)
+    rng.shuffle(ran)
+    cols = [(u, random_label(ctx, rng), v) for u, v in zip(dom, ran)]
+    return LabeledDiagram(ctx, cols, m, n)
+
+
 def _forest(rng, roots, leaves):
     words = [(r, "") for r in range(roots)]
     while len(words) < leaves:
@@ -98,10 +108,8 @@ def _forest(rng, roots, leaves):
 def forest_diagrams(draw, ctx, m, n, leaves=(4, 32)):
     rng = draw(st.randoms(use_true_random=False))
     size = max(m, n) + draw(st.integers(0, 4))
-    dom, ran = _forest(rng, m, size), _forest(rng, n, size)
-    rng.shuffle(ran)
-    cols = [(u, random_label(ctx, rng), v) for u, v in zip(dom, ran)]
-    d = _grow(LabeledDiagram(ctx, cols, m, n), rng, draw(st.integers(*leaves)))
+    d = _paired(ctx, rng, _forest(rng, m, size), _forest(rng, n, size), m, n)
+    d = _grow(d, rng, draw(st.integers(*leaves)))
     return _relabel(d, rng, draw(st.integers(0, 3)))
 
 
@@ -132,16 +140,140 @@ def test_forest_kernel_matches_oracle(m, n, p, data):
     assert compose(a, b).key() == oracle.compose(a, b).key()
 
 
+def compose_counting_splits(a, b):
+    """compose(a, b) and the number of columns it split."""
+    split = LabeledDiagram.simple_expand
+    calls = []
+
+    def counting(context, column):
+        calls.append(column)
+        return split(context, column)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LabeledDiagram, "simple_expand", staticmethod(counting))
+        c = compose(a, b)
+    return c, len(calls)
+
+
+def _assert_compose_matches_oracle(a, b):
+    """The product equals the oracle's, and it splits as many columns as the
+    oracle's two expansions to the common refinement: each split adds one
+    column, so a's range takes |mid| - |a| of them and b's domain |mid| - |b|.
+    A product that re-split a column of b for every leaf it covers, instead
+    of keeping the splits, would split more."""
+    c, splits = compose_counting_splits(a, b)
+    assert c.key() == oracle.compose(a, b).key()
+    mid = oracle.forest_refinement(a.range_(), b.domain(), a.n_roots)
+    assert splits == 2 * len(mid) - len(a.columns) - len(b.columns)
+
+
 @CHECKS
-@given(st.randoms(use_true_random=False))
-def test_common_refinement_matches_oracle(rng):
-    p = [(0, w) for w in random_partition(rng, max_splits=40)]
-    q = [(0, w) for w in random_partition(rng, max_splits=40)]
-    assert forest_refinement(p, q) == oracle.forest_refinement(p, q, 1)
-    roots = rng.randint(2, 5)
-    p = [(r, w) for r in range(roots) for w in random_partition(rng, max_splits=12)]
-    q = [(r, w) for r in range(roots) for w in random_partition(rng, max_splits=12)]
-    assert forest_refinement(p, q) == oracle.forest_refinement(p, q, roots)
+@given(data=st.data())
+def test_compose_splits_each_refinement_node_once(data):
+    """Random trees and forests, against the oracle's common refinement."""
+    m, n, p = data.draw(st.sampled_from([(1, 1, 1), (1, 2, 3), (3, 2, 1)]))
+    if m == n == p == 1:
+        a = data.draw(tree_diagrams(S3_DIAG, leaves=(16, 48)))
+        b = data.draw(tree_diagrams(S3_DIAG, leaves=(16, 48)))
+    else:
+        a = data.draw(forest_diagrams(S3_DIAG, m, n))
+        b = data.draw(forest_diagrams(S3_DIAG, n, p))
+    _assert_compose_matches_oracle(a, b)
+
+
+# -- the product's shapes: which factor is coarser where ---------------------
+
+SHAPE_CONTEXTS = (
+    _context(CyclicGroup(None), "adding"),
+    _context(CyclicGroup(2), "right"),
+    S3_DIAG,
+)
+SHAPE_IDS = ("z_adding", "z2_right", "s3_diag")
+
+
+def _refine(rng, leaves, splits):
+    """leaves with `splits` random leaves split into their two children."""
+    leaves = list(leaves)
+    for _ in range(splits):
+        r, w = leaves.pop(rng.randrange(len(leaves)))
+        leaves += [(r, w + "0"), (r, w + "1")]
+    return sorted(leaves)
+
+
+def _covers(coarse, fine):
+    """For each leaf of `coarse` that is a proper prefix of leaves of `fine`,
+    the indices of those leaves in `fine`."""
+    out = {}
+    for r, u in coarse:
+        under = [i for i, (s, w) in enumerate(fine) if s == r and w != u and w.startswith(u)]
+        if under:
+            out[r, u] = under
+    return out
+
+
+@pytest.mark.parametrize("ctx", SHAPE_CONTEXTS, ids=SHAPE_IDS)
+def test_compose_when_b_is_coarser(ctx):
+    """Every range leaf of a extends one of b's domain leaves, and the a
+    columns under one b column are scattered in a's domain order, so the
+    product comes back to a b column it split before."""
+    rng = random.Random(71)
+    scattered = 0
+    for _ in range(25):
+        bdom = _forest(rng, 1, rng.randint(2, 6))
+        b = _paired(ctx, rng, bdom, _forest(rng, 1, len(bdom)))
+        aran = _refine(rng, bdom, rng.randint(3, 12))
+        a = _paired(ctx, rng, _forest(rng, 1, len(aran)), aran)
+        under = _covers(bdom, a.range_()).values()
+        scattered += any(max(ks) - min(ks) >= len(ks) for ks in under)
+        _assert_compose_matches_oracle(a, b)
+    assert scattered >= 10
+
+
+@pytest.mark.parametrize("ctx", SHAPE_CONTEXTS, ids=SHAPE_IDS)
+def test_compose_when_a_is_coarser(ctx):
+    """Every domain leaf of b extends one of a's range leaves."""
+    rng = random.Random(72)
+    for _ in range(25):
+        aran = _forest(rng, 1, rng.randint(2, 6))
+        a = _paired(ctx, rng, _forest(rng, 1, len(aran)), aran)
+        bdom = _refine(rng, aran, rng.randint(3, 12))
+        b = _paired(ctx, rng, bdom, _forest(rng, 1, len(bdom)))
+        assert _covers(aran, bdom)
+        _assert_compose_matches_oracle(a, b)
+
+
+@pytest.mark.parametrize("ctx", SHAPE_CONTEXTS, ids=SHAPE_IDS)
+def test_compose_when_each_is_coarser_somewhere(ctx):
+    rng = random.Random(73)
+    both = 0
+    for _ in range(40):
+        a = _paired(ctx, rng, _forest(rng, 1, 9), _forest(rng, 1, 9))
+        b = _paired(ctx, rng, _forest(rng, 1, 9), _forest(rng, 1, 9))
+        aran, bdom = a.range_(), b.domain()
+        both += bool(_covers(aran, bdom) and _covers(bdom, aran))
+        _assert_compose_matches_oracle(a, b)
+    assert both >= 20
+
+
+@pytest.mark.parametrize("ctx", SHAPE_CONTEXTS, ids=SHAPE_IDS)
+def test_compose_next_to_a_bare_root(ctx):
+    """A bare root (0, "") sorts directly before the leaves of root 1, whose
+    words all extend the empty word: the product must not take it for their
+    cover, nor take root 1's bare root for a cover of root 0's leaves."""
+    rng = random.Random(74)
+    sides = [
+        [(0, ""), (1, "")],
+        [(0, ""), (1, "0"), (1, "1")],
+        [(0, ""), (1, "0"), (1, "10"), (1, "11")],
+        [(0, "0"), (0, "1"), (1, "")],
+        [(0, "00"), (0, "01"), (0, "1"), (1, "")],
+    ]
+    for aran in sides:
+        for bdom in sides:
+            for _ in range(3):
+                a = _paired(ctx, rng, _forest(rng, 2, len(aran)), aran, 2, 2)
+                b = _paired(ctx, rng, bdom, _forest(rng, 2, len(bdom)), 2, 2)
+                _assert_compose_matches_oracle(a, b)
 
 
 def _outcome(f, words):
@@ -245,15 +377,33 @@ def _assert_valid(d):
     assert checked.key() == d.key()
 
 
+def _identity_on(ctx, leaves, roots):
+    """The unreduced identity diagram whose leaves on both sides are `leaves`."""
+    return LabeledDiagram(ctx, [(u, ctx.one(), u) for u in leaves], roots, roots)
+
+
+def _unreduced_product(a, b):
+    """compose(a, b) before its reduction."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LabeledDiagram, "reduce", lambda d: d)
+        return compose(a, b)
+
+
 def _assert_moves_valid(d, rng):
     """Every one-step move and every pass from d yields a valid diagram; the
-    oracle's moves rebuild through the validating constructor."""
+    oracle's moves rebuild through the validating constructor.  A product
+    with an identity on finer leaves, before its reduction, is d expanded
+    to those leaves: the split moves of `compose` on either factor."""
     for k in range(len(d.columns)):
         oracle.expand_at(d, k)
         oracle.merge_at(d, k)
     finer = _grow(d, rng, len(d.columns) + rng.randint(1, 8))
-    _assert_valid(d.expand_to(finer.domain()))
-    _assert_valid(d.expand_to(finer.range_(), on_range=True))
+    on_domain = _unreduced_product(_identity_on(d.context, finer.domain(), d.m_roots), d)
+    _assert_valid(on_domain)
+    assert on_domain.key() == oracle.expand_to(d, finer.domain(), 0).key()
+    on_range = _unreduced_product(d, _identity_on(d.context, finer.range_(), d.n_roots))
+    _assert_valid(on_range)
+    assert on_range.key() == oracle.expand_to(d, finer.range_(), 2).key()
     _assert_valid(d.reduce())
     _assert_valid(invert(d))
 
@@ -302,13 +452,14 @@ def test_trusted_products_pass_validation(ctx, data):
 
 
 def test_trusted_constructor_only_in_one_step_moves():
-    """The expansion and reduction passes, `compose` and the descending-link
-    class representatives are the only unchecked builders."""
+    """The reduction pass, `compose` and the descending-link class
+    representatives are the only unchecked diagram builders, and
+    `_push_recursion` the only unchecked recursion builder."""
     assert set(package_calls({"_trusted"})) == {
-        ("diagrams.py", "LabeledDiagram.expand_to"),
         ("diagrams.py", "LabeledDiagram.reduce"),
         ("diagrams.py", "compose"),
         ("complexes.py", "_class_element"),
+        ("groups.py", "_push_recursion"),
     }
 
 

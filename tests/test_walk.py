@@ -1,7 +1,8 @@
 """The label transducer `WreathRecursion.walk` and the walks built on it.
 
-`cone_data` is checked against diagram expansion, which splits columns with
-`simple_expand` and never calls `walk`; `act_point`'s per-period cycle
+`cone_data` is checked against the reference expansion of
+`tests/diagram_oracle.py`, which splits columns with `simple_expand` and
+never calls `walk`; `act_point`'s per-period cycle
 detection is checked against the letter-by-letter `act_word`.  The last test
 keeps transducer steps inside `walk` and `simple_expand`.
 """
@@ -11,10 +12,11 @@ import itertools
 import random
 from pathlib import Path
 
+import diagram_oracle as oracle
 import pytest
 
 from labeled_thompson import germs
-from labeled_thompson.diagrams import Context, forest_refinement
+from labeled_thompson.diagrams import Context
 from labeled_thompson.elements import element
 from labeled_thompson.groups import CyclicGroup, WreathRecursion, symmetric_table
 from labeled_thompson.sampling import random_element
@@ -56,7 +58,8 @@ def test_cone_data_matches_expansion(ctx):
                     germs.label_at(a, u)
                 continue
             cone = [(0, w) for w in complete_to_partition([u])]
-            expanded = a.diagram.expand_to(forest_refinement(a.diagram.domain(), cone))
+            mid = oracle.forest_refinement(a.diagram.domain(), cone, 1)
+            expanded = oracle.expand_to(a.diagram, mid, 0)
             [(g, (_, v))] = [(g, r) for (_, d), g, r in expanded.columns if d == u]
             assert germs.cone_data(a, u) == (g, v)
             assert germs.label_at(a, u) == g

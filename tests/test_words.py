@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from labeled_thompson.diagrams import forest_refinement
+from diagram_oracle import forest_refinement
+
 from labeled_thompson.words import (
     EventuallyPeriodicWord,
     OMEGA0,
@@ -42,23 +43,23 @@ def _tree(words):
 
 
 def test_common_refinement_examples():
-    assert forest_refinement(_tree([""]), _tree(["0", "10", "11"])) == _tree(
+    assert forest_refinement(_tree([""]), _tree(["0", "10", "11"]), 1) == _tree(
         ["0", "10", "11"]
     )
-    assert forest_refinement(_tree(["0", "1"]), _tree(["00", "01", "1"])) == _tree(
+    assert forest_refinement(_tree(["0", "1"]), _tree(["00", "01", "1"]), 1) == _tree(
         ["00", "01", "1"]
     )
-    assert forest_refinement(_tree(["0", "10", "11"]), _tree(["00", "01", "1"])) == _tree(
+    assert forest_refinement(_tree(["0", "10", "11"]), _tree(["00", "01", "1"]), 1) == _tree(
         ["00", "01", "10", "11"]
     )
     # a bare root (0, "") sorts directly before the leaves of root 1, whose
     # words all extend the empty word; it stays, since they are another root's
     p = [(0, ""), (1, "0"), (1, "1")]
     q = [(0, ""), (1, "")]
-    assert forest_refinement(p, q) == [(0, ""), (1, "0"), (1, "1")]
+    assert forest_refinement(p, q, 2) == [(0, ""), (1, "0"), (1, "1")]
     p = [(0, "0"), (0, "1"), (1, "")]
     q = [(0, ""), (1, "0"), (1, "10"), (1, "11")]
-    assert forest_refinement(p, q) == [(0, "0"), (0, "1"), (1, "0"), (1, "10"), (1, "11")]
+    assert forest_refinement(p, q, 2) == [(0, "0"), (0, "1"), (1, "0"), (1, "10"), (1, "11")]
 
 
 def test_common_refinement_is_coarsest():
@@ -67,7 +68,7 @@ def test_common_refinement_is_coarsest():
         roots = rng.randint(1, 3)
         p = [(r, w) for r in range(roots) for w in _random_partition(rng)]
         q = [(r, w) for r in range(roots) for w in _random_partition(rng)]
-        out = forest_refinement(p, q)
+        out = forest_refinement(p, q, roots)
         assert is_forest_partition(out, roots)
         # refines both
         for r, w in out:
