@@ -14,8 +14,10 @@ MAX_SPLINTER_WORK = 2^23, since its time grows with all three, and an
 a faithfulness walk of its own; `complex` likewise refuses complexes past
 the size limits of `complexes`, counted exactly, `homology` boundary
 matrices past MAX_BOUNDARY_CELLS and complex files whose maximal simplices
-have more than MAX_FACE_ENTRIES face entries, and an expression power any
-product past MAX_POWER_COLUMNS columns.
+have more than MAX_FACE_ENTRIES face entries, an expression power any
+product past MAX_POWER_COLUMNS columns, and `injectivize`, or any command
+over a non-injective rule, a quotient past MAX_QUOTIENT_ORDER elements
+before its table is built.
 """
 
 from __future__ import annotations

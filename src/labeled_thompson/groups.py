@@ -11,8 +11,10 @@ label transducer `WreathRecursion.walk` gives the induced action on the
 infinite binary tree, the labels at cones and the images of points.
 Whether a recursion is injective (so that sibling columns can merge back)
 is decided when it is built; a kappa map is checked and evaluated as the
-custom table it defines.  The JSON forms of backends and recursions belong
-to `serialize`.
+custom table it defines.  A non-injective recursion on a finite group is
+made injective by `injectivize`, which runs its quotient tower as a chain of
+normal subgroups of the group itself and builds only the last quotient.
+The JSON forms of backends and recursions belong to `serialize`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Callable, Iterator, NamedTuple, Optional
+
+# order of the largest quotient `injectivize` builds: its Cayley table takes
+# |Q|^2 products of G.  At this order that is about 1.4 s over Z/2048, and
+# 15 s over (Z/2)^11, whose products go through eleven factors
+MAX_QUOTIENT_ORDER = 1 << 11
 
 
 class BackendMismatch(ValueError):
@@ -438,21 +445,20 @@ class ProductGroup(GroupBackend):
         return f"ProductGroup({self.factors!r})"
 
 
-def _rebased(G: GroupBackend) -> tuple[dict, list[list[int]]]:
-    """The index of each value of a finite G, sorted with the identity
-    first, and the Cayley table of G on those indices."""
-    values = sorted(G.element_values(), key=G.sort_key)
-    values.remove(G.identity_value())
-    values.insert(0, G.identity_value())
-    index = {v: i for i, v in enumerate(values)}
-    return index, [[index[G.mul(a, b)] for b in values] for a in values]
+def _identity_first(G: GroupBackend) -> list:
+    """The values of a finite G in `sort_key` order, the identity first."""
+    e = G.identity_value()
+    return sorted(G.element_values(), key=lambda v: (v != e, G.sort_key(v)))
 
 
 def symmetric_table(m: int) -> FiniteTableGroup:
     """S_m as a Cayley table backend (identity at index 0)."""
     sym = SymmetricGroup(m)
-    index, table = _rebased(sym)
-    return FiniteTableGroup(table, names={sym.format_element(v): i for v, i in index.items()})
+    index = {v: i for i, v in enumerate(_identity_first(sym))}
+    return FiniteTableGroup(
+        [[index[sym.mul(a, b)] for b in index] for a in index],
+        names={sym.format_element(v): i for v, i in index.items()},
+    )
 
 
 def cyclic_table(n: int) -> FiniteTableGroup:
@@ -526,8 +532,8 @@ class WreathRecursion:
     def _trusted(cls, backend: GroupBackend, table: dict) -> "WreathRecursion":
         """The custom rule of a table already known to be a homomorphism on
         every element of a finite backend, with entries (left, right, swap)
-        of values and a bool; nothing is checked.  Only `_push_recursion`
-        uses it (see its docstring for why its tables qualify)."""
+        of values and a bool; nothing is checked.  Only `injectivize` uses
+        it (see its docstring for why its table qualifies)."""
         phi = object.__new__(cls)
         phi.backend = backend
         phi.rule = "custom"
@@ -645,76 +651,54 @@ def injectivize(
     Returns (hat_G, pi_hat, hat_phi, steps) where pi_hat maps elements of
     the original backend onto the quotient and the square
     hat_phi(pi(g)) == pi_w(phi(g)) commutes.  Refuses infinite backends,
-    where the quotient tower need not stabilize.
+    where the quotient tower need not stabilize, and quotients of more than
+    MAX_QUOTIENT_ORDER elements, whose Cayley table would take |Q|^2 products.
+
+    The tower is a chain of normal subgroups of G: N_0 = {e} and N_(t+1) =
+    phi^-1(N_t x N_t, no swap), until N_(t+1) = N_t after `steps` steps.
+    phi is applied once per element, and each step is one membership test
+    and one product per element.  Cosets are numbered by first visit in
+    `sort_key` order, the identity first, so N is coset 0.  The quotient's
+    table and recursion are built once, from the least member of each
+    coset.  The pass that builds the recursion checks that phi's images
+    descend to G/N, so it is a homomorphism on all of G/N, built unchecked.
     """
     G = phi.backend
     if not G.is_finite():
         raise ValueError("tower may not stabilize: injectivize needs a finite group")
 
-    # rebase onto a table backend, keeping the element correspondence
-    proj, table = _rebased(G)  # original value -> current index
-    cur = FiniteTableGroup(table)
-    cur_phi = _push_recursion(phi, cur, proj, list(proj))
+    values = _identity_first(G)
+    images = [phi.apply(GroupElement(G, v)) for v in values]
+    images = [(w.left.value, w.right.value, w.swap) for w in images]
+    coset, reps = {v: i for i, v in enumerate(values)}, values  # N_0 = {e}
+    kernel, steps = values[:1], 0
+    while True:
+        grown = [v for v, (l, r, s) in zip(values, images) if coset[l] == coset[r] == 0 and not s]
+        if len(grown) == len(kernel):
+            break
+        kernel, steps = grown, steps + 1
+        coset, reps = {}, []
+        for v in values:
+            if v not in coset:
+                for k in kernel:
+                    coset[G.mul(v, k)] = len(reps)
+                reps.append(v)
+    if len(reps) > MAX_QUOTIENT_ORDER:
+        raise ValueError(
+            f"the quotient has {len(reps)} elements, past MAX_QUOTIENT_ORDER = {MAX_QUOTIENT_ORDER}"
+        )
 
-    steps = 0
-    while not cur_phi.is_injective():
-        kernel = {
-            v
-            for v in range(cur.n)
-            if cur_phi.apply(cur.element(v))
-            == WreathImage(cur.one(), cur.one(), False)
-        }
-        nxt, qmap = _quotient(cur, kernel)
-        nxt_phi = _push_recursion(cur_phi, nxt, qmap, list(range(cur.n)))
-        proj = {v: qmap[i] for v, i in proj.items()}
-        cur, cur_phi = nxt, nxt_phi
-        steps += 1
+    table: dict = {}
+    for v, (l, r, s) in zip(values, images):
+        entry = (coset[l], coset[r], s)
+        if table.setdefault(coset[v], entry) != entry:
+            raise ValueError("map does not descend to the quotient")
+    hat = FiniteTableGroup([[coset[G.mul(a, b)] for b in reps] for a in reps])
+    hat_phi = WreathRecursion._trusted(hat, table)
 
     def pi_hat(g: GroupElement) -> GroupElement:
         if g.backend is not G:
             raise BackendMismatch("element is not in the recursion's source group")
-        return cur.element(proj[g.value])
+        return hat.element(coset[g.value])
 
-    return cur, pi_hat, cur_phi, steps
-
-
-def _push_recursion(phi, target: FiniteTableGroup, qmap: dict, source_values) -> WreathRecursion:
-    """Induce a recursion on a quotient/copy along value map qmap.
-
-    qmap is a surjective homomorphism onto target (the rebasing bijection or
-    a quotient map) and phi a homomorphism, valid when it was built.  Once
-    the images are checked to descend, the induced table is the homomorphism
-    that phi induces, defined on every element of target; so it is built
-    unchecked, without the quadratic homomorphism check."""
-    table = {}
-    for v in source_values:
-        img = phi.apply(phi.backend.element(v))
-        entry = (qmap[img.left.value], qmap[img.right.value], img.swap)
-        prev = table.get(qmap[v])
-        if prev is not None and prev != entry:
-            raise ValueError("map does not descend to the quotient")
-        table[qmap[v]] = entry
-    return WreathRecursion._trusted(target, table)
-
-
-def _quotient(G: FiniteTableGroup, kernel: set) -> tuple[FiniteTableGroup, dict]:
-    """Quotient of a table group by a normal subgroup given as a value set.
-
-    v = 0 is visited first, so the kernel, which holds 0, is coset 0: the
-    quotient's identity sits where FiniteTableGroup wants it."""
-    cosets: list[frozenset] = []
-    where: dict[int, int] = {}
-    for v in range(G.n):
-        if v in where:
-            continue
-        coset = frozenset(G.mul(v, k) for k in kernel)
-        idx = len(cosets)
-        cosets.append(coset)
-        for u in coset:
-            where[u] = idx
-    reps = [min(c) for c in cosets]
-    table = [
-        [where[G.mul(a, b)] for b in reps]
-        for a in reps
-    ]
-    return FiniteTableGroup(table), where
+    return hat, pi_hat, hat_phi, steps

@@ -6,7 +6,7 @@ import random
 
 from .diagrams import Context, LabeledDiagram, tree_diagram
 from .elements import VPhiElement
-from .groups import GroupElement
+from .groups import CyclicGroup, FreeGroup, GroupBackend, GroupElement, ProductGroup
 
 
 def random_partition(rng: random.Random, max_splits: int = 3) -> list[str]:
@@ -22,12 +22,23 @@ def random_partition(rng: random.Random, max_splits: int = 3) -> list[str]:
 
 def random_label(ctx: Context, rng: random.Random) -> GroupElement:
     """A random label in the context's working group."""
-    order = ctx.backend.order()
-    if order is not None:
-        values = list(ctx.backend.element_values())
-        return ctx.backend.element(rng.choice(values))
-    # infinite cyclic: small exponents
-    return ctx.backend.element(rng.randint(-3, 3))
+    return ctx.backend.element(_random_value(ctx.backend, rng))
+
+
+def _random_value(B: GroupBackend, rng: random.Random):
+    """Any value of a finite B; in an infinite one a small value: an
+    exponent -3..3 of Z, a reduced word of length at most 3 in a free group,
+    and in a product one value of each factor."""
+    if B.is_finite():
+        return rng.choice(list(B.element_values()))
+    if isinstance(B, CyclicGroup):
+        return rng.randint(-3, 3)
+    if isinstance(B, FreeGroup):
+        letters = B.LETTERS[: B.rank] + B.LETTERS[: B.rank].upper()
+        return B.parse_element("".join(rng.choice(letters) for _ in range(rng.randint(0, 3))))
+    if isinstance(B, ProductGroup):
+        return tuple(_random_value(f, rng) for f in B.factors)
+    raise ValueError(f"no random labels are drawn in {B!r}")
 
 
 def random_diagram(

@@ -14,7 +14,8 @@ from labeled_thompson.groups import (
 @pytest.fixture(autouse=True)
 def pushed_recursions(monkeypatch):
     """Every recursion that `injectivize` builds unchecked, one per tower
-    step, each run through the homomorphism check that it skips."""
+    (its last quotient's), each run through the homomorphism check that it
+    skips."""
     built = []
     trusted = WreathRecursion._trusted.__func__
 

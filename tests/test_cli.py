@@ -396,6 +396,16 @@ def test_injectivize_output_loads_as_a_group_file(tmp_path, capsys, group, recur
         assert main(["eq", "-g", quotient, "[eps|1|eps]", "[0|1|1; 1|1|0]"]) == 0
 
 
+def test_injectivize_refuses_oversized_quotient(tmp_path, capsys):
+    # S_8 under the diagonal rule is its own quotient: 40,320 elements,
+    # refused before any of its 40,320^2 products
+    path = _group_file(tmp_path / "s8.json", {"kind": "symmetric", "m": 8}, {"rule": "diagonal"})
+    start = time.perf_counter()
+    assert main(["injectivize", "-g", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "MAX_QUOTIENT_ORDER" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "kappa",
     [

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -5,8 +6,15 @@ from test_diagrams import sized_diagram
 
 from labeled_thompson import elements as E
 from labeled_thompson.diagrams import Context, ContextMismatch
-from labeled_thompson.groups import WreathRecursion, cyclic_table
-from labeled_thompson.sampling import random_element
+from labeled_thompson.groups import (
+    CyclicGroup,
+    FreeGroup,
+    GroupBackend,
+    ProductGroup,
+    WreathRecursion,
+    cyclic_table,
+)
+from labeled_thompson.sampling import random_element, random_label
 from labeled_thompson.serialize import element_from_json, element_to_json
 from labeled_thompson.words import OMEGA0, EventuallyPeriodicWord
 
@@ -217,6 +225,43 @@ def test_group_axioms_randomized(z2_diag, s3_diag, z3_right, z_adding, rng):
             b = random_element(rng, ctx, max_splits=2)
             c = random_element(rng, ctx, max_splits=2)
             assert (a * b) * c == a * (b * c)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        FreeGroup(2),
+        ProductGroup([CyclicGroup(None), CyclicGroup(2)]),
+        ProductGroup([FreeGroup(1), ProductGroup([CyclicGroup(3), CyclicGroup(None)])]),
+    ],
+    ids=["free2", "z-x-z2", "free1-x-z3-x-z"],
+)
+def test_random_elements_over_infinite_backends(backend, rng):
+    ctx = Context(backend, WreathRecursion(backend, "diagonal"))
+    labels = {random_label(ctx, rng) for _ in range(200)}
+    assert all(backend.check_value(g.value) for g in labels) and len(labels) > 10
+    for _ in range(20):
+        a, b, c = (random_element(rng, ctx, max_splits=2) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+        assert (a * ~a).is_identity()
+
+
+def test_random_labels_refused_on_an_unknown_infinite_backend(rng):
+    class Integers(GroupBackend):
+        """Z under a backend type that sampling does not know."""
+
+        identity_value = staticmethod(lambda: 0)
+        mul = staticmethod(operator.add)
+        inv = staticmethod(operator.neg)
+        check_value = staticmethod(lambda v: isinstance(v, int))
+
+        def __repr__(self):
+            return "Integers()"
+
+    backend = Integers()
+    ctx = Context(backend, WreathRecursion(backend, "diagonal"))
+    with pytest.raises(ValueError, match=r"Integers\(\)"):
+        random_label(ctx, rng)
 
 
 def test_groupoid_operations(s3_diag, rng):

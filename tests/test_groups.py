@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import group_oracle
 import pytest
 
 from labeled_thompson import serialize
@@ -452,9 +453,8 @@ def test_injectivize_vanishing_z2(pushed_recursions):
     rec = WreathRecursion(CyclicGroup(2), "vanishing")
     hat, pi, hat_rec, steps = injectivize(rec)
     assert steps == 1 and hat.n == 1
-    # the rebased copy and one quotient, each checked to be a homomorphism
-    assert len(pushed_recursions) == steps + 1
-    assert pushed_recursions[-1] is hat_rec
+    # one recursion per tower, the returned one, checked to be a homomorphism
+    assert pushed_recursions == [hat_rec]
     assert hat_rec.is_injective() is True
 
 
@@ -465,7 +465,7 @@ def test_injectivize_doubling_z4(pushed_recursions):
     )
     hat, pi, hat_rec, steps = injectivize(rec)
     assert steps == 2 and hat.n == 1
-    assert len(pushed_recursions) == steps + 1
+    assert pushed_recursions == [hat_rec]
 
 
 def test_injectivize_already_injective(pushed_recursions):
@@ -485,7 +485,7 @@ def test_injectivize_commuting_square(pushed_recursions):
         z4, "custom", table={v: ((v * 2) % 4, 0, False) for v in range(4)}
     )
     hat, pi, hat_rec, steps = injectivize(rec)
-    assert len(pushed_recursions) == steps + 1
+    assert pushed_recursions == [hat_rec]
     for g in z4.elements():
         img = rec.apply(g)
         assert hat_rec.apply(pi(g)) == WreathImage(pi(img.left), pi(img.right), img.swap)
@@ -501,6 +501,147 @@ def test_injectivize_refuses_infinite():
     for rule in ("adding", "vanishing"):
         with pytest.raises(ValueError, match="stabilize"):
             injectivize(WreathRecursion(z, rule))
+
+
+def _recursion_from_generators(B, images: dict):
+    """The custom recursion of a finite B that sends each generator value to
+    its image (left, right, swap), or None when no homomorphism does: the
+    images are pushed along every edge of the Cayley graph and must agree."""
+    e = B.identity_value()
+    table = {e: (e, e, False)}
+    todo = [e]
+    while todo:
+        v = todo.pop()
+        l, r, s = table[v]
+        for g, (lg, rg, sg) in images.items():
+            # the wreath law, as in WreathRecursion._validate_custom
+            entry = (B.mul(l, rg if s else lg), B.mul(r, lg if s else rg), s ^ sg)
+            w = B.mul(v, g)
+            if w not in table:
+                table[w] = entry
+                todo.append(w)
+            elif table[w] != entry:
+                return None
+    return WreathRecursion(B, "custom", table=table)
+
+
+def _all_recursions(B, gens) -> list:
+    """Every custom recursion of a finite B generated by `gens`."""
+    values = list(B.element_values())
+    images = [(l, r, s) for l in values for r in values for s in (False, True)]
+    found = (
+        _recursion_from_generators(B, dict(zip(gens, choice)))
+        for choice in itertools.product(images, repeat=len(gens))
+    )
+    return [phi for phi in found if phi is not None]
+
+
+def _assert_same_tower(phi):
+    hat, pi, hat_phi, steps = injectivize(phi)
+    o_hat, o_pi, o_phi, o_steps = group_oracle.injectivize(phi)
+    assert (hat.table, steps) == (o_hat.table, o_steps)
+    assert list(hat_phi.table.items()) == list(o_phi.table.items())
+    assert [pi(g).value for g in phi.backend.elements()] == [
+        o_pi(g).value for g in phi.backend.elements()
+    ]
+    assert hat_phi.is_injective()
+    return steps, hat.n
+
+
+def test_injectivize_matches_oracle_on_every_cyclic_recursion():
+    """All 832 custom recursions of Z/1..Z/12, each given by the image of
+    the generator 1."""
+    towers = [
+        _assert_same_tower(phi)
+        for n in range(1, 13)
+        for phi in _all_recursions(CyclicGroup(n), [1 % n])
+    ]
+    assert len(towers) == 832
+    assert sum(steps > 0 and order > 1 for steps, order in towers) == 166
+
+
+def _sign(p) -> bool:
+    return sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 1
+
+
+S3, S4, T3 = SymmetricGroup(3), SymmetricGroup(4), symmetric_table(3)
+E4 = S4.identity_value()
+T3_SIGN = {i: _sign(tuple(map(int, name))) for name, i in T3.names.items()}
+Z2xZ2 = ProductGroup([CyclicGroup(2), CyclicGroup(2)])
+Z2xZ3 = ProductGroup([CyclicGroup(2), CyclicGroup(3)])
+
+
+class BackwardCyclic(CyclicGroup):
+    """Z/n listing its elements from n - 1 down: the tower still numbers
+    cosets in `sort_key` order, the identity first."""
+
+    def element_values(self):
+        return reversed(range(self.n))
+
+
+# name -> the recursions of that case, built when the test runs
+ORACLE_CASES = {
+    "s3": lambda: [WreathRecursion(S3, r) for r in ("diagonal", "vanishing", "right", "left")]
+    + [WreathRecursion(S3, "kappa", kappa={v: _sign(v) for v in S3.element_values()})],
+    "s3-table": lambda: [WreathRecursion(T3, r) for r in ("diagonal", "vanishing", "right")]
+    + [WreathRecursion(T3, "kappa", kappa=T3_SIGN)],
+    # S4 onto Z/2 by the sign, which swaps
+    "s4": lambda: [WreathRecursion(S4, "vanishing"), WreathRecursion(S4, "diagonal")]
+    + [WreathRecursion(S4, "custom", table={v: (E4, E4, _sign(v)) for v in S4.element_values()})],
+    "s3-custom": lambda: _all_recursions(S3, [(2, 1, 3), (2, 3, 1)]),
+    "z2xz2-custom": lambda: _all_recursions(Z2xZ2, [(1, 0), (0, 1)]),
+    "z2xz3-custom": lambda: _all_recursions(Z2xZ3, [(1, 0), (0, 1)]),
+    "z6-backward-custom": lambda: _all_recursions(BackwardCyclic(6), [1]),
+    "z4-table-doubling": lambda: [
+        WreathRecursion(
+            cyclic_table(4), "custom", table={v: (2 * v % 4, 2 * v % 4, False) for v in range(4)}
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_injectivize_matches_oracle(case):
+    for phi in ORACLE_CASES[case]():
+        _assert_same_tower(phi)
+
+
+def test_injectivize_refuses_a_table_that_does_not_descend():
+    # not a homomorphism: 1 and 3 share a coset of the kernel {0, 2}, and
+    # only 3 swaps
+    phi = WreathRecursion(CyclicGroup(4), "vanishing")
+    phi.rule = "custom"
+    phi.table = {0: (0, 0, False), 1: (1, 0, False), 2: (0, 0, False), 3: (0, 0, True)}
+    with pytest.raises(ValueError, match="does not descend"):
+        injectivize(phi)
+
+
+class CountingCyclic(CyclicGroup):
+    """Z/n that counts its products."""
+
+    products = 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return super().mul(a, b)
+
+
+@pytest.mark.parametrize("n, rule", [(300, "vanishing"), (256, "custom")])
+def test_injectivize_is_one_pass_per_step(monkeypatch, n, rule):
+    """phi is applied once per element, and each tower step takes one
+    product per element; the table of the trivial quotient takes one more.
+    Doubling on Z/256 climbs through eight steps."""
+    G = CountingCyclic(n)
+    doubling = {v: (2 * v % n, 2 * v % n, False) for v in range(n)}
+    rec = WreathRecursion(G, rule, table=doubling if rule == "custom" else None)
+    applied = []
+    apply = WreathRecursion.apply
+    monkeypatch.setattr(WreathRecursion, "apply", lambda phi, g: applied.append(g) or apply(phi, g))
+    G.products = 0
+    hat, pi, hat_rec, steps = injectivize(rec)
+    assert hat.n == 1 and steps == (8 if rule == "custom" else 1)
+    assert len(applied) == n
+    assert G.products == steps * n + 1
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -454,12 +454,12 @@ def test_trusted_products_pass_validation(ctx, data):
 def test_trusted_constructor_only_in_one_step_moves():
     """The reduction pass, `compose` and the descending-link class
     representatives are the only unchecked diagram builders, and
-    `_push_recursion` the only unchecked recursion builder."""
+    `injectivize` the only unchecked recursion builder."""
     assert set(package_calls({"_trusted"})) == {
         ("diagrams.py", "LabeledDiagram.reduce"),
         ("diagrams.py", "compose"),
         ("complexes.py", "_class_element"),
-        ("groups.py", "_push_recursion"),
+        ("groups.py", "injectivize"),
     }
 
 
