@@ -270,9 +270,13 @@ def cmd_homology(args):
 
 def cmd_injectivize(args):
     ctx = serialize.load_context(args.group)
-    from .groups import injectivize as run_tower
+    if ctx.pi_hat is None:
+        from .groups import injectivize as run_tower
 
-    hat_g, pi, hat_phi, steps = run_tower(ctx.source_recursion)
+        hat_g, pi, hat_phi, steps = run_tower(ctx.source_recursion)
+    else:
+        # the context ran the tower already: its working picture is the quotient
+        hat_g, pi, hat_phi, steps = ctx.backend, ctx.pi_hat, ctx.recursion, ctx.tower_steps
     data = {
         "steps": steps,
         "order": hat_g.n,

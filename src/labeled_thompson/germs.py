@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Set
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Optional, Sequence
 
 from .elements import VPhiElement, commutator, element
@@ -33,6 +33,38 @@ MAX_HASHED_CONES = 1 << 20
 
 class ConeSetTooLarge(ValueError):
     pass
+
+
+# cones are spelled as a block's cone plus suffixes from kept tables of the
+# binary words of each length up to CONE_CHUNK_BITS, one list of at most
+# 2^CONE_CHUNK_BITS cones at a time
+CONE_CHUNK_BITS = 12
+_SUFFIX_TABLES = {0: ("",)}  # r -> the 2^r words of length r, in lex order
+
+
+def _suffix_table(r: int) -> tuple:
+    """The binary words of length r in lex order, kept once built; a
+    table is only ever stored under its own length, so two threads
+    building one at once keep the same table."""
+    table = _SUFFIX_TABLES.get(r)
+    if table is None:
+        shorter = _suffix_table(r - 1)
+        table = _SUFFIX_TABLES.setdefault(r, tuple([s + bit for s in shorter for bit in "01"]))
+    return table
+
+
+def _spelled(cone: str, r: int):
+    """Yield the 2^r cones below `cone` at r more letters, in lex order, as
+    lists of at most 2^CONE_CHUNK_BITS: the last letters come from one
+    table, and the words before them run through the other tables, last
+    one fastest, one chunk per word."""
+    low = min(r, CONE_CHUNK_BITS)
+    suffixes = _suffix_table(low)
+    full, rest = divmod(r - low, CONE_CHUNK_BITS)
+    pools = [_suffix_table(rest)] + [_suffix_table(CONE_CHUNK_BITS)] * full
+    for words in product(*pools):
+        head = cone + "".join(words)
+        yield [head + s for s in suffixes]
 
 
 def label_at(a: VPhiElement, u: str) -> GroupElement:
@@ -63,7 +95,9 @@ class ConeSet(Set):
     A block is a cone of length at most `depth` standing for its 2^r
     descendants at that depth (r = depth - its length); no cone is built
     until asked for.  Equal to, and hashed like, the frozenset of those
-    cones; `&`, `|` and `-` return frozensets.  Iteration is in lex order.
+    cones; `&`, `|` and `-` return frozensets.  Iteration is in lex order:
+    each block is spelled from kept suffix tables in chunks of at most
+    2^CONE_CHUNK_BITS cones, so the first cone comes at once at any depth.
     Comparisons read sizes from `__len__()`, since `len()` refuses sizes
     past sys.maxsize, and decide containment between two ConeSets on
     their blocks.  Hashing refuses sets of more than MAX_HASHED_CONES cones.
@@ -86,12 +120,9 @@ class ConeSet(Set):
     def __iter__(self):
         # blocks are sorted and none is a prefix of another, so each
         # block's cones follow one another in lex order
-        suffixes = [[""]]
-        top = max((self.depth - len(cone) for cone in self.cones), default=0)
-        for _ in range(top):
-            suffixes.append([s + bit for s in suffixes[-1] for bit in "01"])
+        depth = self.depth
         return chain.from_iterable(
-            map(cone.__add__, suffixes[self.depth - len(cone)]) for cone in self.cones
+            chunk for cone in self.cones for chunk in _spelled(cone, depth - len(cone))
         )
 
     def _inside(self, other: "ConeSet") -> bool:

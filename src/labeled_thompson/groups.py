@@ -82,6 +82,13 @@ class GroupElement:
         return self.backend.format_element(self.value)
 
 
+def _check_size(name: str, value) -> None:
+    """A group size read from a file is an int: a float or a bool passes
+    the range checks and fails later, far from the file, or not at all."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class GroupBackend:
     """Base class: exact arithmetic on canonical values."""
 
@@ -144,6 +151,8 @@ class FiniteTableGroup(GroupBackend):
 
     def __init__(self, table, names: Optional[dict[str, int]] = None):
         n = len(table)
+        if not n:
+            raise ValueError("Cayley table must not be empty")
         self.table = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in self.table):
             raise ValueError("Cayley table must be square")
@@ -226,8 +235,10 @@ class CyclicGroup(GroupBackend):
     """Z/n for finite n, or the infinite cyclic group when n is None."""
 
     def __init__(self, n: Optional[int] = None):
-        if n is not None and n < 1:
-            raise ValueError("cyclic order must be positive")
+        if n is not None:
+            _check_size("cyclic order n", n)
+            if n < 1:
+                raise ValueError("cyclic order must be positive")
         self.n = n
 
     def identity_value(self):
@@ -280,6 +291,7 @@ class SymmetricGroup(GroupBackend):
     `1` is the identity."""
 
     def __init__(self, m: int):
+        _check_size("symmetric degree m", m)
         if m < 1:
             raise ValueError("need m >= 1")
         self.m = m
@@ -325,6 +337,7 @@ class FreeGroup(GroupBackend):
     LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
     def __init__(self, rank: int):
+        _check_size("free rank", rank)
         if not 1 <= rank <= 26:
             raise ValueError("rank must be between 1 and 26")
         self.rank = rank

@@ -6,7 +6,7 @@ import time
 import pytest
 from test_diagrams import sized_diagram
 
-from labeled_thompson import complexes, elements, perfection
+from labeled_thompson import complexes, diagrams, elements, groups, perfection
 from labeled_thompson.cli import (
     LSUPP_MAX_CONES,
     MAX_SPLINTER_ELEMENTS,
@@ -394,6 +394,53 @@ def test_injectivize_output_loads_as_a_group_file(tmp_path, capsys, group, recur
         assert main(["eq", "-g", quotient, "iota(1) * iota(1)", "id"]) == 0
         # the quotient label swaps the children it splits into
         assert main(["eq", "-g", quotient, "[eps|1|eps]", "[0|1|1; 1|1|0]"]) == 0
+
+
+def test_injectivize_runs_the_tower_once(tmp_path, capsys, monkeypatch):
+    # loading the group file builds the context, which runs the tower; the
+    # command reads the quotient off the context instead of a second tower
+    calls = []
+    run_tower = groups.injectivize
+
+    def counted(phi):
+        calls.append(phi)
+        return run_tower(phi)
+
+    monkeypatch.setattr(groups, "injectivize", counted)
+    monkeypatch.setattr(diagrams, "injectivize", counted)
+    path = _group_file(tmp_path / "z12.json", {"kind": "cyclic", "n": 12}, {"rule": "vanishing"})
+    assert main(["--json", "injectivize", "-g", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["order"] == 1 and data["steps"] == 1 and len(calls) == 1
+    # an injective rule builds no context tower, and the command runs one
+    path = _group_file(tmp_path / "z3.json", {"kind": "cyclic", "n": 3}, {"rule": "diagonal"})
+    assert main(["injectivize", "-g", path]) == 0
+    assert capsys.readouterr().out == "tower stabilized after 0 step(s); quotient order 3\n"
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ({"kind": "symmetric", "m": 2.5}, "symmetric degree m must be an integer, got 2.5"),
+        ({"kind": "symmetric", "m": True}, "symmetric degree m must be an integer, got True"),
+        ({"kind": "cyclic", "n": 2.5}, "cyclic order n must be an integer, got 2.5"),
+        ({"kind": "cyclic", "n": "3"}, "cyclic order n must be an integer, got '3'"),
+        ({"kind": "free", "rank": False}, "free rank must be an integer, got False"),
+        ({"kind": "finite", "table": []}, "Cayley table must not be empty"),
+    ],
+    ids=["float-m", "bool-m", "float-n", "str-n", "bool-rank", "empty-table"],
+)
+def test_ill_typed_group_size_is_usage_error(tmp_path, capsys, group, message):
+    # each is refused where the group file is read: a float m would end in
+    # a TypeError traceback later, and the others would load and answer
+    path = _group_file(tmp_path / "bad.json", group, {"rule": "diagonal"})
+    for argv in (["is-id", "-g", path, "id"], ["injectivize", "-g", path]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
 
 def test_injectivize_refuses_oversized_quotient(tmp_path, capsys):

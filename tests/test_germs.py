@@ -1,5 +1,9 @@
 import operator
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 
 import diagram_oracle as oracle
@@ -174,8 +178,83 @@ def test_lsupp_count_matches_set(ctx, rng):
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(rng=st.randoms(use_true_random=False))
 def test_cone_set_matches_frozenset_oracle(ctx, rng):
-    # the lazy view against the per-cone frozenset: order, size, hash,
-    # equality, membership, set algebra and the block-merge disjointness
+    check_cone_sets_against_frozensets(ctx, rng)
+
+
+@pytest.mark.parametrize("ctx", LSUPP_CONTEXTS, ids=LSUPP_IDS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_cone_set_matches_frozenset_oracle_in_small_chunks(ctx, rng):
+    # with 2-letter tables a block of more than two levels is spelled as
+    # prefix words from several tables, one chunk of 4 cones per word
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(G, "CONE_CHUNK_BITS", 2)
+        check_cone_sets_against_frozensets(ctx, rng)
+
+
+def _fresh_table(r):
+    return tuple(format(i, f"0{r}b") for i in range(1 << r)) if r else ("",)
+
+
+def test_suffix_tables_outlast_a_smaller_bound(z2_diag):
+    g = z2_diag.source_backend.element(1)
+    lam = E.lambda_u(z2_diag, "0", g)
+    bits = G.CONE_CHUNK_BITS
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(G, "_SUFFIX_TABLES", {0: ("",)})
+        mp.setattr(G, "CONE_CHUNK_BITS", 2)
+        assert list(G.lsupp_approx(lam, 8).included) == ["0" + w for w in _fresh_table(7)]
+        assert G._SUFFIX_TABLES == {r: _fresh_table(r) for r in range(3)}
+        # the tables kept under the small bound serve the larger one
+        mp.setattr(G, "CONE_CHUNK_BITS", bits)
+        view = G.lsupp_approx(lam, 14).included
+        assert list(view) == sorted(oracle.lsupp_approx(lam, 14).included)
+        assert G._SUFFIX_TABLES == {r: _fresh_table(r) for r in range(bits + 1)}
+
+
+FIRST_CONES = """
+import time
+from itertools import islice
+from labeled_thompson import elements as E, germs as G
+from labeled_thompson.diagrams import Context
+from labeled_thompson.groups import CyclicGroup, WreathRecursion
+z2 = CyclicGroup(2)
+ctx = Context(z2, WreathRecursion(z2, "diagonal"))
+start = time.perf_counter()
+view = G.lsupp_approx(E.lambda_u(ctx, "0", z2.element(1)), 200).included
+first = list(islice(view, 4096))
+elapsed = time.perf_counter() - start
+assert first == ["0" + format(i, "0199b") for i in range(4096)], "wrong first cones"
+assert max(G._SUFFIX_TABLES) <= G.CONE_CHUNK_BITS, "a table past CONE_CHUNK_BITS"
+print(elapsed)
+"""
+
+
+def test_cone_set_spells_the_first_cones_at_once():
+    # 2^199 cones in one block: the first chunk comes from the kept tables.
+    # The child is capped at 1 GiB of address space, so that spelling the
+    # block from one table of all its suffixes ends in MemoryError there
+    # instead of taking the host's memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    package_root = os.path.dirname(os.path.dirname(G.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_CONES],
+        env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert float(done.stdout) < 1.0
+
+
+def check_cone_sets_against_frozensets(ctx, rng):
+    """The lazy view against the per-cone frozenset: order, size, hash,
+    equality, membership, set algebra and the block-merge disjointness."""
     cone = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
     xs = lsupp_inputs(ctx, rng) + (
         localized(ctx, rng, cone + "0"),
