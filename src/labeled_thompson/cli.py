@@ -3,21 +3,25 @@
 Composition is the right action throughout: in an expression "a * b" the
 element a acts first, so points satisfy (w)(a*b) = ((w)a)b.  Exit codes:
 0 success, 1 a verification answered false, 2 usage errors, 3 an internal
-consistency check failed (a bug, never a false answer).  `lsupp` counts
-the cones of a support before it builds them and refuses, with exit 2,
-supports of more than LSUPP_MAX_CONES = 2^16 cones, and `act` and
-`splinter-check` refuse depths past MAX_WORD_DEPTH = 2^12 before any work,
-since both take time linear in the depth.  `splinter-check` also refuses,
-before it loads the group, a product --pairs x --points x --depth past
-MAX_SPLINTER_WORK = 2^23, since its time grows with all three, and an
---elements count past MAX_SPLINTER_ELEMENTS = 2^14, since each element costs
-a faithfulness walk of its own; `complex` likewise refuses complexes past
-the size limits of `complexes`, counted exactly, `homology` boundary
-matrices past MAX_BOUNDARY_CELLS and complex files whose maximal simplices
-have more than MAX_FACE_ENTRIES face entries, an expression power any
-product past MAX_POWER_COLUMNS columns, and `injectivize`, or any command
-over a non-injective rule, a quotient past MAX_QUOTIENT_ORDER elements
-before its table is built.
+consistency check failed or any other exception escaped (a bug, never a
+false answer), so exit 1 only ever means false; input nested past the
+recursion limit, in an expression or a JSON file, is a usage error.
+`lsupp` counts the cones of a support before it builds them and refuses,
+with exit 2, supports of more than LSUPP_MAX_CONES = 2^16 cones, and `act`
+and `splinter-check` refuse depths past MAX_WORD_DEPTH = 2^12 before any
+work, since both take time linear in the depth.  `splinter-check` also
+refuses, before it loads the group, a product --pairs x --points x --depth
+past MAX_SPLINTER_WORK = 2^23, since its time grows with all three, and an
+--elements count past MAX_SPLINTER_ELEMENTS = 2^14, since each element
+costs a faithfulness walk of its own, and, before it lists the G-set, a
+group of more than MAX_GSET_ORDER elements; `complex` likewise refuses
+complexes past the size limits of `complexes`, counted exactly, and a
+descending link whose caret-orbit table, 2|G|^2 states, is past
+MAX_DLINK_CLASSES, `homology` boundary matrices past MAX_BOUNDARY_CELLS and
+complex files whose maximal simplices have more than MAX_FACE_ENTRIES face
+entries, an expression power any product past MAX_POWER_COLUMNS columns,
+and `injectivize`, or any command over a non-injective rule, a quotient
+past MAX_QUOTIENT_ORDER elements before its table is built.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 
 from . import complexes, elements, germs, perfection, serialize, splinter
 from .expressions import parse_expression
@@ -420,6 +425,11 @@ def main(argv=None) -> int:
         return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # a bug, never a false answer: the traceback goes with the report
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

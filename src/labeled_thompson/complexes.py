@@ -6,8 +6,9 @@ vertices for a finite label group.  Both are built from one enumerator of
 the matchings of K_n, and both are sized exactly before anything is listed:
 M_n has sum_j (#j-matchings) simplices and the descending link
 sum_j (#j-matchings) (2|G|)^j classes.  Past MAX_MATCHING_SIMPLICES or
-MAX_DLINK_CLASSES the constructors raise ValueError.  Descending links are
-built twice, by independent routes: one canonical form per orbit of the
+MAX_DLINK_CLASSES the constructors raise ValueError, as a descending link
+does when its caret-orbit table, 2|G|^2 states, is past MAX_DLINK_CLASSES.
+Descending links are built twice, by independent routes: one canonical form per orbit of the
 wreath action, and the fiber-join over the matching complex through the
 forgetful map.  In the first, a face is the groupoid product of a class
 representative with a splitter of all but one caret, and its vertex is
@@ -44,7 +45,9 @@ from .groups import GroupElement
 
 # size limits, checked by exact counts before anything is listed: M_14
 # (2,390,479 simplices) and Z/2 diagonal n=8 (57,232 classes) are admitted,
-# M_15 and Z/2 diagonal n=9 (328,752 classes) are refused
+# M_15 and Z/2 diagonal n=9 (328,752 classes) are refused; the caret-orbit
+# table of a descending link, 2|G|^2 states, is held to MAX_DLINK_CLASSES
+# too, which admits |G| up to 181
 MAX_MATCHING_SIMPLICES = 1 << 22
 MAX_DLINK_CLASSES = 1 << 16
 # dense one-byte cells of one boundary matrix that `homology` builds: d_2
@@ -704,10 +707,11 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
     of the domain roots with a caret orbit per edge, so the classes are
     listed directly, and the cost scales with their number.  That number is
     counted first, and heights with more than MAX_DLINK_CLASSES classes are
-    refused before anything is listed.  Each class is stored by its orbit
-    minimum in (carets, sigma, label indices) order, and ids follow
-    (j, representative), which is the order in which a walk over every raw
-    tuple would first meet the classes.  The vertex of a caret is the class
+    refused before anything is listed, as are groups whose caret-orbit
+    table, 2|G|^2 states, is past MAX_DLINK_CLASSES.  Each class is stored
+    by its orbit minimum in (carets, sigma, label indices) order, and ids
+    follow (j, representative), which is the order in which a walk over
+    every raw tuple would first meet the classes.  The vertex of a caret is the class
     left when every other caret is split: the product of the class
     representative with the splitter of the other carets has one caret,
     whose edge ((a, c), caret orbit representative) `CaretOrbits.edges`
@@ -723,6 +727,12 @@ def dlink_complex(ctx: Context, n: int) -> DescendingLink:
         raise ValueError(
             f"the descending link at height {n} has more than "
             f"MAX_DLINK_CLASSES = {MAX_DLINK_CLASSES:,} classes"
+        )
+    states = 2 * G.order() ** 2
+    if states > MAX_DLINK_CLASSES:
+        raise ValueError(
+            f"the caret-orbit table of a group of order {G.order():,} has "
+            f"{states:,} states, more than MAX_DLINK_CLASSES = {MAX_DLINK_CLASSES:,}"
         )
 
     orbits = CaretOrbits(ctx)

@@ -183,4 +183,9 @@ class _Parser:
 
 
 def parse_expression(text: str, ctx: Context) -> VPhiElement:
-    return _Parser(text, ctx).parse()
+    """The element `text` names; an expression nested past the interpreter's
+    recursion limit is refused with ValueError."""
+    try:
+        return _Parser(text, ctx).parse()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None

@@ -35,10 +35,12 @@ class ConeSetTooLarge(ValueError):
     pass
 
 
-# cones are spelled as a block's cone plus suffixes from kept tables of the
-# binary words of each length up to CONE_CHUNK_BITS, one list of at most
-# 2^CONE_CHUNK_BITS cones at a time
-CONE_CHUNK_BITS = 12
+# the last min(depth, CONE_CHUNK_BITS) letters of a cone come from kept
+# tables of the binary words of each length up to CONE_CHUNK_BITS, one chunk
+# of at most 2^CONE_CHUNK_BITS cones at a time, so a support of depth at
+# most CONE_CHUNK_BITS is read off the tables with no string built; 2^16
+# cones is also the most that `ltg lsupp` prints
+CONE_CHUNK_BITS = 16
 _SUFFIX_TABLES = {0: ("",)}  # r -> the 2^r words of length r, in lex order
 
 
@@ -54,17 +56,29 @@ def _suffix_table(r: int) -> tuple:
 
 
 def _spelled(cone: str, r: int):
-    """Yield the 2^r cones below `cone` at r more letters, in lex order, as
-    lists of at most 2^CONE_CHUNK_BITS: the last letters come from one
-    table, and the words before them run through the other tables, last
-    one fastest, one chunk per word."""
-    low = min(r, CONE_CHUNK_BITS)
-    suffixes = _suffix_table(low)
-    full, rest = divmod(r - low, CONE_CHUNK_BITS)
+    """Yield the 2^r cones below `cone` at r more letters, in lex order, in
+    chunks of at most 2^CONE_CHUNK_BITS.  The last c = min(depth,
+    CONE_CHUNK_BITS) letters of each cone come from the table of length c.
+    A block with r <= c is one run of that table, the slice at the value of
+    its letters inside the table, headed by its first depth - c letters
+    when there are any; at depth <= CONE_CHUNK_BITS the slice is the chunk,
+    and its cones are the kept strings themselves.  A larger block takes
+    the whole table once per head word, and its head words run through the
+    other tables, last one fastest."""
+    depth = len(cone) + r
+    c = min(depth, CONE_CHUNK_BITS)
+    table = _suffix_table(c)
+    if r <= c:
+        cut = depth - c
+        i = int(cone[cut:], 2) if cut < len(cone) else 0
+        run = table[i << r : (i + 1) << r]
+        yield [cone[:cut] + s for s in run] if cut else run
+        return
+    full, rest = divmod(r - c, CONE_CHUNK_BITS)
     pools = [_suffix_table(rest)] + [_suffix_table(CONE_CHUNK_BITS)] * full
     for words in product(*pools):
         head = cone + "".join(words)
-        yield [head + s for s in suffixes]
+        yield [head + s for s in table]
 
 
 def label_at(a: VPhiElement, u: str) -> GroupElement:
@@ -96,8 +110,10 @@ class ConeSet(Set):
     descendants at that depth (r = depth - its length); no cone is built
     until asked for.  Equal to, and hashed like, the frozenset of those
     cones; `&`, `|` and `-` return frozensets.  Iteration is in lex order:
-    each block is spelled from kept suffix tables in chunks of at most
-    2^CONE_CHUNK_BITS cones, so the first cone comes at once at any depth.
+    each block is read from kept word tables in chunks of at most
+    2^CONE_CHUNK_BITS cones, so the first cone comes at once at any depth,
+    and at depth <= CONE_CHUNK_BITS every cone is a kept string, the same
+    object on every pass, whose hash is computed once.
     Comparisons read sizes from `__len__()`, since `len()` refuses sizes
     past sys.maxsize, and decide containment between two ConeSets on
     their blocks.  Hashing refuses sets of more than MAX_HASHED_CONES cones.

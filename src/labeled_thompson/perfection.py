@@ -120,7 +120,8 @@ def commutator_witness(v: VPhiElement) -> tuple[VPhiElement, VPhiElement]:
     ones = [one] * m
     a = elements.from_parts(ctx, t_second, ones, alpha, t_prime)
     b = elements.from_parts(ctx, t_prime, ones, beta, t_second)
-    return b * v * ~b, b * a * ~b
+    b_inv = ~b
+    return b * v * b_inv, b * a * b_inv
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,13 @@ class CommutatorCertificate:
     target: VPhiElement
 
     def verify(self) -> bool:
-        prod = identity(self.target.context)
-        for p, q in self.factors:
-            prod = prod * (p * q * ~p * ~q)
-        prod = prod * self.tail
+        """Multiply out from the tail up, each factor as p q (q p)^-1: one
+        inverse per factor and no product with the identity."""
         if not _label_free(self.tail):
             return False
+        prod = self.tail
+        for p, q in reversed(self.factors):
+            prod = p * q * ~(q * p) * prod
         return prod == self.target
 
     def __post_init__(self):
@@ -164,9 +166,9 @@ def decompose(a: VPhiElement) -> CommutatorCertificate:
     if not f.is_identity():
         dom, _, _ = _tree_parts(f)
         s = swap12_conjugator(ctx, dom)
-        f_shifted = ~s * f * s
-        p0, q0 = commutator_witness(f_shifted)
-        factors.append((s * p0 * ~s, s * q0 * ~s))
+        s_inv = ~s
+        p0, q0 = commutator_witness(s_inv * f * s)
+        factors.append((s * p0 * s_inv, s * q0 * s_inv))
     cert = CommutatorCertificate(tuple(factors), v, a)
     if not cert.verify():
         raise AssertionError("certificate failed to verify")

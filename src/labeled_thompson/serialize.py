@@ -103,11 +103,14 @@ def context_from_json(data: dict) -> Context:
 
 def load_json(path: str, parse: Callable[[object], T]) -> T:
     """Parse the JSON file at `path` with `parse`; a missing or ill-typed
-    field raises ValueError naming the file, as malformed JSON does."""
-    with open(path) as fh:
-        data = json.load(fh)
+    field raises ValueError naming the file, as malformed JSON does, and so
+    does nesting too deep to decode or parse."""
     try:
+        with open(path) as fh:
+            data = json.load(fh)
         return parse(data)
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply") from None
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: missing or malformed field: {exc!r}") from exc
 

@@ -6,7 +6,7 @@ import time
 import pytest
 from test_diagrams import sized_diagram
 
-from labeled_thompson import complexes, diagrams, elements, groups, perfection
+from labeled_thompson import complexes, diagrams, elements, germs, groups, perfection
 from labeled_thompson.cli import (
     LSUPP_MAX_CONES,
     MAX_SPLINTER_ELEMENTS,
@@ -704,3 +704,68 @@ def test_s10_labels_read_back_through_a_file(tmp_path, capsys):
     assert token in out.read_text()
     assert main(["eq", "-g", str(path), f"file({out})", f"iota({token})"]) == 0
     assert main(["eq", "-g", str(path), f"file({out})", "iota(1)"]) == 1
+
+
+@pytest.mark.parametrize(
+    "group, argv, limit",
+    [
+        (
+            {"kind": "cyclic", "n": 500},
+            ["complex", "dlink", "-n", "2"],
+            "MAX_DLINK_CLASSES",
+        ),
+        (
+            {"kind": "cyclic", "n": 10**7},
+            ["splinter-check", "--pairs", "1", "--points", "1", "--elements", "1"],
+            "MAX_GSET_ORDER",
+        ),
+        (
+            {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 24},
+            ["splinter-check", "--pairs", "1", "--points", "1", "--elements", "1"],
+            "MAX_GSET_ORDER",
+        ),
+    ],
+    ids=["dlink-caret-states-z500", "gset-z10^7", "gset-z2^24"],
+)
+def test_group_sized_tables_are_refused_before_listing(tmp_path, capsys, group, argv, limit):
+    # Z/500 at height 2 has only 501 classes, but its caret-orbit table
+    # would hold 2 * 500^2 states; the G-set would list every element
+    path = _group_file(tmp_path / "g.json", group, {"rule": "diagonal"})
+    start = time.perf_counter()
+    assert main(argv + ["-g", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and limit in err
+    assert "Traceback" not in err
+
+
+def test_input_nested_past_the_recursion_limit_is_usage_error(tmp_path, z2_file, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv in (
+        ["is-id", "-g", z2_file, "(" * 400 + "id" + ")" * 400],
+        ["is-id", "-g", str(deep), "id"],
+        ["is-id", "-g", z2_file, f"file({deep})"],
+        ["homology", str(deep), "--up-to", "0"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv[:2]
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "nested too deeply" in err
+        assert "Traceback" not in err
+    # shallow nesting still parses
+    assert main(["is-id", "-g", z2_file, "(" * 50 + "id" + ")" * 50]) == 0
+
+
+def test_any_other_exception_is_an_internal_error(z2_file, capsys, monkeypatch):
+    # exit 1 only ever means a false answer: an unexpected exception is a bug
+    def broken(x, u):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(germs, "label_at", broken)
+    assert main(["label", "-g", z2_file, "iota(g)", "--at", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.endswith("\ninternal error: TypeError: unsupported operand\n")

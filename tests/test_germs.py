@@ -205,11 +205,77 @@ def test_suffix_tables_outlast_a_smaller_bound(z2_diag):
         mp.setattr(G, "CONE_CHUNK_BITS", 2)
         assert list(G.lsupp_approx(lam, 8).included) == ["0" + w for w in _fresh_table(7)]
         assert G._SUFFIX_TABLES == {r: _fresh_table(r) for r in range(3)}
-        # the tables kept under the small bound serve the larger one
+        # the tables kept under the small bound serve the larger one, at a
+        # depth past it, where a block takes the whole table per head word
         mp.setattr(G, "CONE_CHUNK_BITS", bits)
-        view = G.lsupp_approx(lam, 14).included
-        assert list(view) == sorted(oracle.lsupp_approx(lam, 14).included)
+        view = G.lsupp_approx(lam, bits + 2).included
+        assert list(view) == sorted(oracle.lsupp_approx(lam, bits + 2).included)
         assert G._SUFFIX_TABLES == {r: _fresh_table(r) for r in range(bits + 1)}
+
+
+def _random_blocks(rng, depth):
+    """Disjoint blocks: the leaves of a random partition of the empty cone
+    into cones of length at most `depth`, each kept with probability 0.6."""
+    leaves = [""]
+    for _ in range(rng.randrange(10)):
+        u = leaves.pop(rng.randrange(len(leaves)))
+        leaves += [u + "0", u + "1"] if len(u) < depth else [u]
+    return [(u, depth - len(u)) for u in leaves if rng.random() < 0.6]
+
+
+def _chunk_cases(depth, bits, randoms):
+    """Block sets at one depth: the empty cone (the whole table of length
+    depth when depth <= bits), cones longer than depth - bits, one per run
+    length, each headed when depth > bits, one block at the table's own
+    length, and `randoms` random partitions."""
+    c = min(depth, bits)
+    cases = [[("", depth)]]
+    runs = [("1" * (depth - r - 1) + "0", r) for r in range(min(c, depth - 1) + 1)]
+    cases.append(runs)
+    cases.append([("0" * (depth - c), c)])
+    rng = random.Random(depth * 100 + bits)
+    cases += [_random_blocks(rng, depth) for _ in range(randoms)]
+    return cases
+
+
+# (bound, depth) below, at and above the bound; at bound 3 and depth 8 a
+# block of the empty cone takes its head words from tables of length 2 and 3
+SLICE_DEPTHS = [(3, 1), (3, 3), (3, 5), (3, 8)] + [
+    (G.CONE_CHUNK_BITS, G.CONE_CHUNK_BITS + k) for k in (-2, 0, 1)
+]
+
+
+@pytest.mark.parametrize("bits, depth", SLICE_DEPTHS, ids=[f"{b}-{d}" for b, d in SLICE_DEPTHS])
+def test_cone_set_slices_match_frozensets(bits, depth):
+    # every word at small depths, 256 spread evenly at large ones
+    words = [format(i, f"0{depth}b") for i in range(0, 1 << depth, 1 << max(depth - 8, 0))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(G, "CONE_CHUNK_BITS", bits)
+        for blocks in _chunk_cases(depth, bits, 12 if bits < 8 else 2):
+            view = G.ConeSet(depth, blocks)
+            want = frozenset(u + s for u, r in blocks for s in _fresh_table(r))
+            assert list(view) == sorted(want), blocks
+            assert len(view) == len(want) and hash(view) == hash(want)
+            assert view == want and want == view
+            assert all(w in view for w in want)
+            assert all((w in view) == (w in want) for w in words)
+            other = frozenset(words[::3])
+            assert view & other == want & other and view - other == want - other
+            assert view | other == want | other
+
+
+@pytest.mark.parametrize("depth", [G.CONE_CHUNK_BITS - 2, G.CONE_CHUNK_BITS])
+def test_cone_set_passes_share_the_kept_strings(z2_diag, s3_diag, depth, rng):
+    # at depth <= CONE_CHUNK_BITS every cone is a kept table string, so two
+    # passes over a support yield the very same objects
+    g = z2_diag.source_backend.element(1)
+    xs = [E.lambda_u(z2_diag, "0", g), E.lambda_u(z2_diag, "101", g)]
+    xs += [random_element(rng, s3_diag, max_splits=5) for _ in range(4)]
+    for x in xs:
+        view = G.lsupp_approx(x, depth).included
+        first, second = list(view), list(view)
+        assert len(first) == len(view) and first == sorted(first)
+        assert all(a is b for a, b in zip(first, second))
 
 
 FIRST_CONES = """

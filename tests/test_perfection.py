@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from labeled_thompson import diagrams
 from labeled_thompson import elements as E
 from labeled_thompson import perfection as P
 from labeled_thompson.sampling import random_element, random_partition
@@ -133,3 +134,24 @@ def test_decompose_refuses_a_wrong_split(s3_diag, monkeypatch):
     )
     with pytest.raises(AssertionError, match="^certificate failed to verify$"):
         P.decompose(a)
+
+
+def test_decompose_inverts_each_conjugator_and_factor_once(s3_diag, z2_diag, rng, monkeypatch):
+    """One inverse per witness conjugator, one for the swap of the
+    first-label factor, and one per factor in the certificate check: two
+    for the rest-label factor, three for the first-label one."""
+    calls = []
+    invert = diagrams.invert
+    monkeypatch.setattr(diagrams, "invert", lambda d: calls.append(d) or invert(d))
+    seen = set()
+    for ctx in (s3_diag, z2_diag):
+        for _ in range(40):
+            a = random_element(rng, ctx)
+            r, f, _ = P.split3(a)
+            calls.clear()
+            cert = P.decompose(a)
+            has_r, has_f = not r.is_identity(), not f.is_identity()
+            assert len(cert.factors) == has_r + has_f
+            assert len(calls) == 2 * has_r + 3 * has_f
+            seen.add((has_r, has_f))
+    assert {(True, True), (False, True)} <= seen
