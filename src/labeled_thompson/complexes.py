@@ -14,18 +14,21 @@ forgetful map.  In the first, a face is the groupoid product of a class
 representative with a splitter of all but one caret, and its vertex is
 looked up by the edge of the one caret left, read off the product's
 columns; the representatives are built unchecked, as they are valid and
-reduced by construction.  Homology first
-deletes unit pairs across the whole truncated chain complex, coreductions
-and free faces (Mrozek-Batko, Discrete Comput. Geom. 41, 2009), which
-change no other entry, and then takes the Smith normal form over the
-integers of what is left of each boundary matrix, by one sparse
-elimination over Python ints on the matrix or its transpose, whichever has
-fewer columns (a matrix and its transpose share the Smith form), every
-pivot an entry of least absolute value, so units come first.  A JSON
-complex whose maximal simplices have more than MAX_FACE_ENTRIES face
-entries is refused before its faces are listed.  Boundary matrices are
-built a whole face position at a time, looking faces up as vertex tuples,
-so no numeric face code can overflow.
+reduced by construction.
+
+Homology reads each dense boundary matrix once, into sparse tables of
+every cell's faces and cofaces, and deletes unit pairs across the whole
+truncated chain complex, coreductions and free faces (Mrozek-Batko,
+Discrete Comput. Geom. 41, 2009), which change no other entry.  It then
+takes the Smith normal form over the integers of what is left of each
+boundary matrix, by one sparse elimination over Python ints on the live
+face or coface dicts of the tables, whichever side has fewer cells (a
+matrix and its transpose share the Smith form), every pivot an entry of
+least absolute value, so units come first.  A JSON complex whose maximal
+simplices have more than MAX_FACE_ENTRIES face entries is refused before
+its faces are listed.  Boundary matrices are built a whole face position
+at a time, looking faces up as vertex tuples, so no numeric face code can
+overflow.
 """
 
 from __future__ import annotations
@@ -178,24 +181,30 @@ class SimplicialComplex:
         return cls(data["vertices"], maximal)
 
 
-def smith_diagonal(mat: np.ndarray) -> list[int]:
-    """Nonzero diagonal of the Smith normal form, divisibility-chained.
+def smith_diagonal(cols: list[dict[int, int]]) -> list[int]:
+    """Nonzero diagonal of the Smith normal form, divisibility-chained, of
+    the matrix whose columns are `cols`, {row: entry} dicts of nonzero
+    Python ints; rows are any ints, and a row no column holds is zero.  The
+    list and its dicts are consumed.
 
-    One sparse elimination, exact over Python ints, on mat or on its
-    transpose, whichever has fewer columns: the transpose has the same
-    Smith form, and fewer columns mean fewer column operations (the 48 x 68
-    residual of d_2 of M_7 that `homology` passes is eliminated
-    transposed).  One rule picks the pivots, least absolute value first: the
-    column of least (least |entry|, length, index) comes off one heap, and
-    in it the entry of least (|entry|, row length), so +-1 pivots come first,
-    shortest columns first (Dumas-Saunders-Villard, J. Symbolic Comput.
-    2001).  A pivot u at (p, j) clears row p by column operations that
-    subtract floor quotients, leaving remainders in row p; once row p holds
-    u alone, row operations touch only column j and leave remainders there.
-    A nonzero remainder is smaller than u and becomes the next pivot; with
-    u = +-1 there is none, so a unit pivot takes one round.
+    One sparse elimination, exact over Python ints, by column operations on
+    the columns given: a caller that holds both sides passes the one with
+    fewer columns, as the transpose has the same Smith form (`homology`
+    passes the 48 rows of the 48 x 68 residual of d_2 of M_7).  One rule
+    picks the pivots, least absolute value first: the column of least
+    (least |entry|, length, index) comes off one heap, and in it the entry
+    of least (|entry|, row length), so +-1 pivots come first, shortest
+    columns first (Dumas-Saunders-Villard, J. Symbolic Comput. 2001).  A
+    pivot u at (p, j) clears row p by column operations that subtract floor
+    quotients, leaving remainders in row p; once row p holds u alone, row
+    operations touch only column j and leave remainders there.  A nonzero
+    remainder is smaller than u and becomes the next pivot; with u = +-1
+    there is none, so a unit pivot takes one round.
     """
-    cols, rows = _short_side(mat)
+    rows: dict[int, set[int]] = {}  # the columns that hold each row
+    for j, col in enumerate(cols):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
     # heap entries are (least |entry|, length, index, stamp).  A column is
     # pushed, and pushed again whenever it changes, under 1, a lower bound
     # that takes no pass over it; popped with no entry that small, it goes
@@ -300,33 +309,22 @@ def _nonzeros(mat: np.ndarray) -> tuple[list[int], list[int], list[int]]:
     return rows.tolist(), cols.tolist(), vals
 
 
-def _short_side(mat: np.ndarray) -> tuple[list[dict[int, int]], dict[int, set[int]]]:
-    """The columns of mat, or of its transpose when that has fewer, as
-    {row: value} dicts of Python ints, and the set of columns of each row."""
-    m, n = mat.shape
-    nz_rows, nz_cols, vals = _nonzeros(mat)
-    if n > m:  # the transpose swaps the two index lists
-        nz_rows, nz_cols, n = nz_cols, nz_rows, m
-    cols: list[dict[int, int]] = [{} for _ in range(n)]
-    rows: dict[int, set[int]] = {}
-    for i, j, v in zip(nz_rows, nz_cols, vals):
-        cols[j][i] = v
-        rows.setdefault(i, set()).add(j)
-    return cols, rows
-
-
-def _pair_off(mats: Sequence[np.ndarray]) -> tuple[list[int], list[list[int]]]:
+def _pair_off(mats: Sequence[np.ndarray]) -> tuple[list[int], list[list], list[list]]:
     """Delete the unit pairs that change no other entry from the chain
     complex whose boundary from level k + 1 to level k is mats[k].
 
-    A pair is (s, t), t one level above s, with a +-1 entry at row s and
-    column t of some mats[k], where t has no other live face (a
+    Each matrix is read once, into tables of each cell's faces and
+    cofaces.  A pair is (s, t), t one level above s, with a +-1 entry at
+    row s and column t of some mats[k], where t has no other live face (a
     coreduction) or s no other live coface (a free face).  The queue is
     seeded by level and index, so a simplicial complex pairs its empty
     simplex with a vertex first, and a neighbour of a deleted pair is
     queued again when its live faces or cofaces drop to one.  Returns, for
     each k, the number of pairs inside mats[k], and for each level, the
-    cells left live, in order.
+    live faces and the live cofaces of its cells, {index: entry} dicts of
+    Python ints, None for a deleted cell: the live faces of level k + 1 are
+    the columns of mats[k] restricted to the live cells, and the live
+    cofaces of level k its rows.
     """
     sizes = [mats[0].shape[0]] + [mat.shape[1] for mat in mats]
     # live faces and cofaces of each cell, {neighbour: entry}; a deleted
@@ -367,8 +365,7 @@ def _pair_off(mats: Sequence[np.ndarray]) -> tuple[list[int], list[list[int]]]:
                     delete(other, i)
                     pairs[min(k, other)] += 1
                     break
-    live = [[j for j, near in enumerate(level) if near is not None] for level in faces]
-    return pairs, live
+    return pairs, faces, cofaces
 
 
 @dataclass(frozen=True)
@@ -414,7 +411,10 @@ def homology(cx: SimplicialComplex, up_to: int) -> HomologyResult:
       the other columns, so neither deletion changes a Smith form.
 
     So SNF(d_k) = [1]^(p_k) + SNF(d_k on the cells left live), with p_k
-    the pairs inside d_k, and only that residual is eliminated.
+    the pairs inside d_k, and only that residual is eliminated.  It goes to
+    `smith_diagonal` straight from the tables `_pair_off` kept, as its
+    columns, the live faces of level k + 1, or as its rows, the live
+    cofaces of level k, whichever are fewer.
     """
     if up_to > len(cx.vertices):
         raise ValueError(
@@ -434,12 +434,11 @@ def homology(cx: SimplicialComplex, up_to: int) -> HomologyResult:
     torsion: dict[int, tuple[int, ...]] = {}
     ranks: dict[int, int] = {}
     divisors: dict[int, list[int]] = {}
-    mats = [cx.boundary_matrix(k) for k in range(up_to + 2)]
-    pairs, live = _pair_off(mats)
-    for k, mat in enumerate(mats):
-        # rows, then columns: one gather per axis is faster than np.ix_
-        residual = mat[live[k]][:, live[k + 1]]
-        divisors[k] = [1] * pairs[k] + smith_diagonal(residual)
+    pairs, faces, cofaces = _pair_off([cx.boundary_matrix(k) for k in range(up_to + 2)])
+    for k in range(up_to + 2):
+        cols = [near for near in faces[k + 1] if near is not None]
+        rows = [near for near in cofaces[k] if near is not None]
+        divisors[k] = [1] * pairs[k] + smith_diagonal(rows if len(rows) < len(cols) else cols)
         ranks[k] = len(divisors[k])
     for k in range(up_to + 1):
         kernel = f[k + 1] - ranks[k]

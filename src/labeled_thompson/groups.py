@@ -270,8 +270,7 @@ class CyclicGroup(GroupBackend):
                 return 1
             if token.startswith("t^"):
                 return int(token[2:])
-        k = int(token)
-        return k % self.n if self.n else k
+        return int(token)
 
     def format_element(self, v) -> str:
         if self.n is None:

@@ -55,7 +55,10 @@ def is_partition_set(words: Sequence[str]) -> bool:
 
 
 def is_forest_partition(leaves: Sequence[Leaf], roots: int) -> bool:
-    """Partition-set check per root of an indexed forest."""
+    """Partition-set check per root of an indexed forest.  Every root has a
+    leaf, so more roots than leaves fail before a list is made per root."""
+    if roots > len(leaves):
+        return False
     by_root: dict[int, list[str]] = {r: [] for r in range(roots)}
     for r, w in leaves:
         if r not in by_root:

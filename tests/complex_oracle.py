@@ -21,11 +21,20 @@ row and column by floor quotients, and the diagonal found is put into a
 divisibility chain by gcd/lcm exchanges.  It shares no code with the
 library's sparse elimination.
 
+``columns`` turns a dense matrix into the ``{row: entry}`` column dicts
+that ``complexes.smith_diagonal`` takes: ``np.argwhere`` gives the
+positions of the nonzero cells, and each entry is read at its position as
+a Python int.  It shares nothing with the library's flat, blocked scan,
+``_nonzeros``.  ``fewer_columns`` gives the columns of the matrix or of
+its transpose, whichever are fewer, which is the side the elimination
+finishes soonest.
+
 ``homology_by_smith`` is the per-matrix route that ``complexes.homology``
 took before it deleted unit pairs across the chain complex: one Smith
-elimination of each whole boundary matrix d_0 .. d_(up_to+1), called as
-``complexes.smith_diagonal`` so that a test can spy on it, and the Betti
-numbers and torsion read off their diagonals.
+elimination of each whole boundary matrix d_0 .. d_(up_to+1), given by
+``fewer_columns``, called as ``complexes.smith_diagonal`` so that a test
+can spy on it, and the Betti numbers and torsion read off their
+diagonals.
 
 ``inflation_homology`` gives the reduced homology of the descending link
 at height n without building it, from matching complexes alone.  The link
@@ -112,6 +121,17 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> np.ndarray:
     return mat
 
 
+def columns(mat: np.ndarray) -> list[dict[int, int]]:
+    cols: list[dict[int, int]] = [{} for _ in range(mat.shape[1])]
+    for i, j in np.argwhere(mat).tolist():
+        cols[j][i] = int(mat[i, j])
+    return cols
+
+
+def fewer_columns(mat: np.ndarray) -> list[dict[int, int]]:
+    return columns(mat.T if mat.shape[1] > mat.shape[0] else mat)
+
+
 def dense_smith(mat: np.ndarray) -> list[int]:
     a = mat.astype(object)  # a copy, of Python ints
     m, n = a.shape
@@ -154,7 +174,10 @@ def dense_smith(mat: np.ndarray) -> list[int]:
 
 def homology_by_smith(cx: SimplicialComplex, up_to: int) -> HomologyResult:
     f = [1] + cx.f_vector() + [0] * (up_to + 2)
-    divisors = [complexes.smith_diagonal(cx.boundary_matrix(k)) for k in range(up_to + 2)]
+    divisors = [
+        complexes.smith_diagonal(fewer_columns(cx.boundary_matrix(k)))
+        for k in range(up_to + 2)
+    ]
     ranks = [len(diagonal) for diagonal in divisors]
     betti = {k: f[k + 1] - ranks[k] - ranks[k + 1] for k in range(up_to + 1)}
     torsion = {k: tuple(d for d in divisors[k + 1] if d > 1) for k in range(up_to + 1)}

@@ -573,6 +573,33 @@ def test_element_files_with_leaves_that_are_not_binary(tmp_path, z2_file, capsys
         assert out == "" and "leaves do not form a forest partition" in err
 
 
+@pytest.mark.parametrize("roots", [[10**9, 1], [1, 10**9]], ids=["domain", "range"])
+def test_element_files_with_more_roots_than_leaves(tmp_path, z2_file, capsys, roots):
+    # every root needs a leaf: refused before anything is listed per root
+    path = tmp_path / "roots.json"
+    cols = [{"dom": "", "label": "0", "ran": ""}]
+    path.write_text(json.dumps({"columns": cols, "kind": "forest", "roots": roots}))
+    start = time.perf_counter()
+    assert main(["reduce", "-g", z2_file, f"file({path})"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "leaves do not form a forest partition" in err
+
+
+def test_cyclic_tokens_out_of_range_are_usage_errors(tmp_path, capsys):
+    # a Z/n token is its value, not reduced mod n, as in a finite table
+    z2 = {"kind": "cyclic", "n": 2}
+    path = _group_file(tmp_path / "c2.json", z2, {"rule": "diagonal"})
+    for x in ("iota(5)", "iota(-1)"):
+        assert main(["is-id", "-g", path, x]) == 2
+        assert "is not a canonical value for CyclicGroup(2)" in capsys.readouterr().err
+    assert main(["is-id", "-g", path, "iota(1)"]) == 1
+    table = [["0", "0", "0", 0], ["2", "1", "0", 1]]
+    path = _group_file(tmp_path / "c2-custom.json", z2, {"rule": "custom", "table": table})
+    assert main(["is-id", "-g", path, "id"]) == 2
+    assert "custom table must cover every element" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(z2_file):
     assert main(["act", "-g", z2_file, "iota(g", "--point", "(0)"]) == 2
     assert main(["mul", "-g", "/nonexistent.json", "id", "id"]) == 2

@@ -38,6 +38,17 @@ def rank_mod_p(mat: np.ndarray, p: int) -> int:
 # -- smith normal form ---------------------------------------------------------
 
 
+def smith(mat: np.ndarray) -> list[int]:
+    """`smith_diagonal` of a dense matrix, given as its columns."""
+    return C.smith_diagonal(oracle.columns(mat))
+
+
+def short_smith(mat: np.ndarray) -> list[int]:
+    """`smith_diagonal` of a dense matrix, given as the columns of the
+    matrix or of its transpose, whichever are fewer."""
+    return C.smith_diagonal(oracle.fewer_columns(mat))
+
+
 def test_smith_against_sympy_random(rng):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
@@ -48,7 +59,7 @@ def test_smith_against_sympy_random(rng):
         mat = np.array(
             [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
         )
-        got = C.smith_diagonal(mat)
+        got = smith(mat)
         want = smith_normal_form(sympy.Matrix(mat.tolist()))
         want_diag = [
             abs(int(want[i, i]))
@@ -60,15 +71,15 @@ def test_smith_against_sympy_random(rng):
 
 def test_smith_known_matrix():
     mat = np.array([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    assert C.smith_diagonal(mat) == [2, 2, 156]
-    assert C.smith_diagonal(np.zeros((3, 2), dtype=np.int64)) == []
-    assert len(C.smith_diagonal(np.eye(4, dtype=np.int64))) == 4
+    assert smith(mat) == [2, 2, 156]
+    assert smith(np.zeros((3, 2), dtype=np.int64)) == []
+    assert len(smith(np.eye(4, dtype=np.int64))) == 4
 
 
 def test_smith_exact_past_int64():
     # big * big - 1 is past int64 and must stay exact
     big = 1 << 40
-    diag = C.smith_diagonal(np.array([[big, 1], [1, big]], dtype=np.int64))
+    diag = smith(np.array([[big, 1], [1, big]], dtype=np.int64))
     assert diag == [1, big * big - 1]
 
 
@@ -104,7 +115,7 @@ def test_sparse_smith_matches_sympy_and_dense(rng):
     torsion = 0
     for t in range(40):
         mat = _sparse_matrix(rng, big=t % 4 == 3)
-        got = C.smith_diagonal(mat)
+        got = smith(mat)
         assert got == oracle.dense_smith(mat) == _sympy_diagonal(mat), mat
         torsion += any(d > 1 for d in got)
     assert torsion >= 5  # non-unit pivots ran, not only unit pivots
@@ -120,25 +131,25 @@ SHAPES = {
 
 
 def test_smith_same_on_either_side(rng):
-    """The elimination runs on the side with fewer columns: a wide matrix
-    is eliminated transposed, a tall one as given, and both must agree with
-    each other, the dense oracle and sympy, torsion included, and stay
-    exact where divisors pass int64."""
+    """A matrix and its transpose share the Smith form: eliminated by the
+    columns of either side, one with more columns than rows and one with
+    fewer, the two must agree with each other, the dense oracle and sympy,
+    torsion included, and stay exact where divisors pass int64."""
     seen = set()
     for t in range(100):
         kind = list(SHAPES)[t % len(SHAPES)]
         mat = _sparse_matrix(rng, big=t % 3 == 2, shape=SHAPES[kind](rng))
         got = []
         for side in (mat, mat.T):
-            got.append(C.smith_diagonal(side))
-            eliminated = "transposed" if side.shape[1] > side.shape[0] else "as given"
+            got.append(smith(side))
+            eliminated = "wide" if side.shape[1] > side.shape[0] else "tall or square"
             if any(d > 1 for d in got[-1]):
                 seen.add(eliminated)
         assert got[0] == got[1] == oracle.dense_smith(mat) == _sympy_diagonal(mat), (
             kind,
             mat,
         )
-    assert seen == {"transposed", "as given"}  # torsion on both sides
+    assert seen == {"wide", "tall or square"}  # torsion on both sides
     # a divisor past int64, after a unit pivot and with no unit at all
     b = 1 << 40
     for wide, want in (
@@ -147,17 +158,9 @@ def test_smith_same_on_either_side(rng):
     ):
         mat = np.array(wide, dtype=np.int64)
         for side in (mat, mat.T):
-            got = C.smith_diagonal(side)
+            got = smith(side)
             assert got == want == oracle.dense_smith(side) == _sympy_diagonal(side)
             assert got[-1] > np.iinfo(np.int64).max
-
-
-def test_nonzeros_read_on_the_short_side():
-    # the columns are those of the matrix itself, or of its transpose when
-    # that has fewer; a square matrix stays as given
-    for mat in (np.array([[2, 3, 0]]), np.array([[2], [3], [0]])):
-        assert C._short_side(mat) == ([{0: 2, 1: 3}], {0: {0}, 1: {0}})
-    assert C._short_side(np.array([[2, 3], [0, 0]])) == ([{0: 2}, {0: 3}], {0: {0, 1}})
 
 
 def test_smith_without_units(rng):
@@ -172,15 +175,15 @@ def test_smith_without_units(rng):
         m, n = rng.randint(1, 8), rng.randint(1, 8)
         mat = np.array([[rng.choice(values) for _ in range(n)] for _ in range(m)])
         want = oracle.dense_smith(mat)
-        assert C.smith_diagonal(mat) == C.smith_diagonal(mat.T) == want, mat
+        assert smith(mat) == smith(mat.T) == want, mat
         assert want == _sympy_diagonal(mat), mat
     mat = np.array([[-3, 3, 7, -4, 3], [-3, 4, -3, 0, -6]])
-    assert C.smith_diagonal(mat) == C.smith_diagonal(mat.T) == [1, 1] == _sympy_diagonal(mat)
+    assert smith(mat) == smith(mat.T) == [1, 1] == _sympy_diagonal(mat)
     # gcd 1 from entries none of which is a unit
-    assert C.smith_diagonal(np.array([[2, 3], [4, 6]])) == [1]
-    assert C.smith_diagonal(np.array([[6, 0], [0, 4]])) == [2, 12]
+    assert smith(np.array([[2, 3], [4, 6]])) == [1]
+    assert smith(np.array([[6, 0], [0, 4]])) == [2, 12]
     # found as 2, 5, 12, 18: the gcd/lcm repair takes several passes
-    assert C.smith_diagonal(np.diag([12, 18, 2, 5])) == [1, 2, 6, 180]
+    assert smith(np.diag([12, 18, 2, 5])) == [1, 2, 6, 180]
 
 
 def test_smith_non_unit_pivots_on_many_blocks(rng):
@@ -195,7 +198,7 @@ def test_smith_non_unit_pivots_on_many_blocks(rng):
     want = oracle.dense_smith(mat)
     assert want == _sympy_diagonal(mat)
     assert sum(d > 1 for d in want) >= 20
-    assert C.smith_diagonal(mat) == C.smith_diagonal(mat.T) == want
+    assert smith(mat) == smith(mat.T) == want
 
 
 def test_sparse_smith_residual_past_int64():
@@ -203,7 +206,7 @@ def test_sparse_smith_residual_past_int64():
     # divisible by 3, next to a residual 3
     b = 1 << 40
     mat = np.array([[1, b, 0], [b, 1, 0], [0, 0, 3]], dtype=np.int64)
-    assert C.smith_diagonal(mat) == [1, 3, b * b - 1] == _sympy_diagonal(mat)
+    assert smith(mat) == [1, 3, b * b - 1] == _sympy_diagonal(mat)
 
 
 # -- basic complexes -------------------------------------------------------------
@@ -456,14 +459,14 @@ def test_boundary_builder_past_int64_face_codes(rng):
         assert got.dtype == np.int8 and got.shape == want.shape
         assert np.array_equal(got, want)
         assert (np.count_nonzero(got, axis=0) == k + 1).all()
-    assert C.smith_diagonal(cx.boundary_matrix(11)) == [1, 1, 1]
+    assert smith(cx.boundary_matrix(11)) == [1, 1, 1]
 
 
 def _assert_boundaries_match_dense(cx: C.SimplicialComplex):
     for k in range(cx.dimension() + 2):
         mat = cx.boundary_matrix(k)
         assert mat.dtype == np.int8  # entries are 0 and +-1
-        assert C.smith_diagonal(mat) == oracle.dense_smith(mat), k
+        assert short_smith(mat) == oracle.dense_smith(mat), k
 
 
 def test_sparse_smith_on_matching_boundaries():
@@ -684,14 +687,16 @@ def test_invariant_factors_of_a_direct_sum():
 
 @pytest.fixture
 def smith_calls(monkeypatch):
-    """Every matrix passed to `complexes.smith_diagonal`, as (shape,
-    nonzeros), so a test sees which route `homology` and the oracle took."""
+    """A copy of the columns passed to each `complexes.smith_diagonal` call,
+    which must be a list of dicts, so a test sees which matrices `homology`
+    and the oracle eliminated."""
     calls = []
-    smith = C.smith_diagonal
+    smith_diagonal = C.smith_diagonal
 
-    def spy(mat):
-        calls.append(_seen(mat))
-        return smith(mat)
+    def spy(cols):
+        assert type(cols) is list and all(type(col) is dict for col in cols)
+        calls.append([dict(col) for col in cols])
+        return smith_diagonal(cols)
 
     monkeypatch.setattr(C, "smith_diagonal", spy)
     return calls
@@ -699,6 +704,18 @@ def smith_calls(monkeypatch):
 
 def _seen(mat: np.ndarray) -> tuple:
     return mat.shape, int(np.count_nonzero(mat))
+
+
+def _live(level: list) -> list[int]:
+    """The cells of one level that `_pair_off` left live, by index."""
+    return [j for j, near in enumerate(level) if near is not None]
+
+
+def _keyed(mat: np.ndarray, rows: list[int], cols: list[int]) -> list[dict[int, int]]:
+    """The columns of mat on the given rows and columns, keyed by the row
+    indices of mat."""
+    sub = oracle.columns(mat[np.ix_(rows, cols)])
+    return [{rows[i]: v for i, v in col.items()} for col in sub]
 
 
 def _admitted_bounds(cx: C.SimplicialComplex) -> list[int]:
@@ -714,31 +731,66 @@ def _admitted_bounds(cx: C.SimplicialComplex) -> list[int]:
 
 def _assert_pairs_exact(cx, up_to, smith_calls, full=None) -> list[np.ndarray]:
     """[1] * p_k + the Smith diagonal of d_k's residual is the Smith
-    diagonal of the whole d_k, for every k; `homology` eliminates the
-    residuals alone and agrees with the per-matrix oracle, which eliminates
-    the whole matrices.  `full` caches whole-matrix diagonals by k across
-    bounds.  Returns the residuals."""
+    diagonal of the whole d_k, for every k; the tables `_pair_off` returns
+    hold exactly the residuals; `homology` eliminates each residual alone,
+    from its side with fewer cells, and agrees with the per-matrix oracle,
+    which eliminates the whole matrices.  `full` caches whole-matrix
+    diagonals by k across bounds.  Returns the residuals."""
     full = {} if full is None else full
     mats = [cx.boundary_matrix(k) for k in range(up_to + 2)]
-    pairs, live = C._pair_off(mats)
+    pairs, faces, cofaces = C._pair_off(mats)
+    live = [_live(level) for level in faces]
+    assert [_live(level) for level in cofaces] == live
     # a pair inside d_k deletes one cell of level k and one of level k + 1
     sizes = [1] + [mat.shape[1] for mat in mats]
     for level, cells in enumerate(live):
         below = pairs[level - 1] if level else 0
         above = pairs[level] if level < len(pairs) else 0
         assert len(cells) == sizes[level] - below - above
+    # the live faces of level k + 1 are the residual's columns, the live
+    # cofaces of level k its rows
+    columns = [_keyed(mat, live[k], live[k + 1]) for k, mat in enumerate(mats)]
+    rows = [_keyed(mat.T, live[k + 1], live[k]) for k, mat in enumerate(mats)]
+    for k in range(len(mats)):
+        assert [faces[k + 1][j] for j in live[k + 1]] == columns[k], k
+        assert [cofaces[k][i] for i in live[k]] == rows[k], k
     residuals = [mat[np.ix_(live[k], live[k + 1])] for k, mat in enumerate(mats)]
     for k, mat in enumerate(mats):
         if k not in full:
-            full[k] = C.smith_diagonal(mat)
-        assert [1] * pairs[k] + C.smith_diagonal(residuals[k]) == full[k], k
+            full[k] = short_smith(mat)
+        assert [1] * pairs[k] + short_smith(residuals[k]) == full[k], k
     smith_calls.clear()
     got = C.homology(cx, up_to)
-    assert smith_calls == [_seen(r) for r in residuals]
+    assert smith_calls == [r if len(r) < len(c) else c for r, c in zip(rows, columns)]
     smith_calls.clear()
     assert oracle.homology_by_smith(cx, up_to) == got
-    assert smith_calls == [_seen(mat) for mat in mats]
+    whole = [(len(cols), sum(map(len, cols))) for cols in smith_calls]
+    assert whole == [(min(mat.shape), int(np.count_nonzero(mat))) for mat in mats]
     return residuals
+
+
+def test_homology_eliminates_the_side_with_fewer_cells(rng, smith_calls):
+    """`homology` hands `smith_diagonal` each residual d_k as a list of
+    dicts: its rows, the live cofaces of level k, when they are fewer than
+    its columns, the live faces of level k + 1, else its columns.  The 48 x
+    68 residual of d_2 of M_7 goes as its 48 rows, and random complexes
+    leave residuals that go as their columns."""
+    C.homology(C.matching_complex(7), 1)
+    assert [len(cols) for cols in smith_calls] == [0, 0, 48]
+    sides = set()
+    cases = [(C.matching_complex(7), 1)]
+    cases += [(cx, cx.dimension()) for cx in (_random_complex(rng) for _ in range(100))]
+    for cx, up_to in cases:
+        smith_calls.clear()
+        C.homology(cx, up_to)
+        _, faces, _ = C._pair_off([cx.boundary_matrix(k) for k in range(up_to + 2)])
+        live = [len(_live(level)) for level in faces]
+        got = [len(cols) for cols in smith_calls]
+        assert got == [min(live[k], live[k + 1]) for k in range(up_to + 2)]
+        for k, cols in enumerate(smith_calls):
+            if any(cols):
+                sides.add("rows" if live[k] < live[k + 1] else "columns")
+    assert sides == {"rows", "columns"}
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -825,8 +877,10 @@ def test_pairs_exact_on_chain_complexes_with_non_unit_entries(rng):
     # the cellular chain complex of RP^2, one cell in each dimension with
     # d_2 = 2: its top cell has one face and that face one coface, over the 2
     mats = [np.ones((1, 1), np.int64), np.zeros((1, 1), np.int64), np.array([[2]])]
-    pairs, live = C._pair_off(mats)
-    assert pairs == [1, 0, 0] and live == [[], [], [0], [0]]
+    pairs, faces, cofaces = C._pair_off(mats)
+    assert pairs == [1, 0, 0]
+    assert faces == [[None], [None], [{}], [{0: 2}]]
+    assert cofaces == [[None], [None], [{0: 2}], [{}]]
     non_units = 0
     for _ in range(200):
         cx = _random_complex(rng)
@@ -837,11 +891,12 @@ def test_pairs_exact_on_chain_complexes_with_non_unit_entries(rng):
         for k in range(len(mats) - 1):
             assert not (mats[k] @ mats[k + 1]).any()
         non_units += sum(int((abs(mat) > 1).sum()) for mat in mats)
-        pairs, live = C._pair_off(mats)
+        pairs, faces, _ = C._pair_off(mats)
+        live = [_live(level) for level in faces]
         for k, mat in enumerate(mats):
             residual = mat[np.ix_(live[k], live[k + 1])]
-            want = C.smith_diagonal(mat)
-            assert [1] * pairs[k] + C.smith_diagonal(residual) == want, (k, mat)
+            want = short_smith(mat)
+            assert [1] * pairs[k] + short_smith(residual) == want, (k, mat)
             assert want == oracle.dense_smith(mat)
     assert non_units > 200
 

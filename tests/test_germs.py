@@ -209,7 +209,7 @@ def test_suffix_tables_outlast_a_smaller_bound(z2_diag):
         # depth past it, where a block takes the whole table per head word
         mp.setattr(G, "CONE_CHUNK_BITS", bits)
         view = G.lsupp_approx(lam, bits + 2).included
-        assert list(view) == sorted(oracle.lsupp_approx(lam, bits + 2).included)
+        assert list(view) == ["0" + w for w in _fresh_table(bits + 1)]
         assert G._SUFFIX_TABLES == {r: _fresh_table(r) for r in range(bits + 1)}
 
 
