@@ -6,10 +6,11 @@ element a acts first, so points satisfy (w)(a*b) = ((w)a)b.  Exit codes:
 consistency check failed or any other exception escaped (a bug, never a
 false answer), so exit 1 only ever means false; input nested past the
 recursion limit, in an expression or a JSON file, is a usage error.
-`lsupp` counts the cones of a support before it builds them and refuses,
-with exit 2, supports of more than LSUPP_MAX_CONES = 2^16 cones, and `act`
-and `splinter-check` refuse depths past MAX_WORD_DEPTH = 2^12 before any
-work, since both take time linear in the depth.  `splinter-check` also
+`lsupp` counts the cones of a support before it builds them, up to the
+first block past the limit, and refuses, with exit 2, supports of more
+than LSUPP_MAX_CONES = 2^16 cones, and `act` and `splinter-check` refuse
+depths past MAX_WORD_DEPTH = 2^12 before any work, since both take time
+linear in the depth.  `splinter-check` also
 refuses, before it loads the group, a product --pairs x --points x --depth
 past MAX_SPLINTER_WORK = 2^23, since its time grows with all three, and an
 --elements count past MAX_SPLINTER_ELEMENTS = 2^14, since each element

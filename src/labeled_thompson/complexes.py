@@ -14,7 +14,9 @@ forgetful map.  In the first, a face is the groupoid product of a class
 representative with a splitter of all but one caret, and its vertex is
 looked up by the edge of the one caret left, read off the product's
 columns; the representatives are built unchecked, as they are valid and
-reduced by construction.
+reduced by construction.  The second is a listing of sorted vertex tuples,
+closed under faces: `check_complete_join` compares it with the first
+route's simplex set, and `dlink_via_join` wraps it as a complex.
 
 Homology reads each dense boundary matrix once, into sparse tables of
 every cell's faces and cofaces, and deletes unit pairs across the whole
@@ -584,8 +586,9 @@ class CaretOrbits:
         for h in self.values:
             img = ctx.recursion.apply(G.element(h))
             images.append(((img.left.value, img.right.value), int(img.swap)))
-        # caret state -> the orbit member of least (side, label indices), and
-        # the one of least (label a, side, label c) by value
+        # caret state -> the orbit member of least (side, label indices);
+        # that representative -> the member of least (label a, side, label c)
+        # by value
         self.rep_of: dict[tuple, tuple] = {}
         self.least_of: dict[tuple, tuple] = {}
         for state in itertools.product((0, 1), self.values, self.values):
@@ -597,10 +600,9 @@ class CaretOrbits:
                 for kids, swap in images
             ]
             rep = min(orbit, key=lambda t: (t[0], rank[t[1]], rank[t[2]]))
-            least = min(orbit, key=lambda t: (t[1], t[0], t[2]))
+            self.least_of[rep] = min(orbit, key=lambda t: (t[1], t[0], t[2]))
             for t in orbit:
                 self.rep_of[t] = rep
-                self.least_of[t] = least
         self.reps = sorted(set(self.rep_of.values()))
         if len(self.reps) != 2 * len(self.values):
             raise AssertionError("right action is not free on classes")
@@ -794,17 +796,24 @@ def _vertex_pi(link: DescendingLink) -> list[tuple[int, int]]:
     return [forgetful_pi(k) for k in link.vertex_keys]
 
 
-def dlink_via_join(link: DescendingLink) -> SimplicialComplex:
-    """The fiber-join model over the matching complex: independent of the
-    brute-force face computation, sharing the same vertex keys."""
+def _join_listing(link: DescendingLink) -> set[tuple[int, ...]]:
+    """The fiber-join's simplices as sorted vertex tuples, one per choice of
+    a vertex over each edge of a nonempty matching: closed under faces, as
+    matchings are, and holding every vertex, by the one-edge matchings."""
     fibers: dict[tuple[int, int], list[int]] = {}
     for v, pair in enumerate(_vertex_pi(link)):
         fibers.setdefault(pair, []).append(v)
-    simplices: list[tuple[int, ...]] = []
-    for matching in _matchings(link.n):
-        for combo in itertools.product(*(fibers[a + 1, c + 1] for a, c in matching)):
-            simplices.append(tuple(sorted(combo)))
-    return SimplicialComplex(link.vertex_keys, simplices)
+    return {
+        tuple(sorted(combo))
+        for matching in _matchings(link.n)
+        for combo in itertools.product(*(fibers[a + 1, c + 1] for a, c in matching))
+    }
+
+
+def dlink_via_join(link: DescendingLink) -> SimplicialComplex:
+    """The fiber-join model over the matching complex: independent of the
+    brute-force face computation, sharing the same vertex keys."""
+    return SimplicialComplex(link.vertex_keys, _join_listing(link))
 
 
 def check_complete_join(link: DescendingLink) -> bool:
@@ -814,7 +823,8 @@ def check_complete_join(link: DescendingLink) -> bool:
     of a simplex are pairwise disjoint, so they form a matching; (2)
     surjective: all C(n,2) pairs are hit; (3) every simplex preimage is the
     join of its vertex fibers, which by finiteness reduces to equality with
-    the fiber-join complex.
+    the fiber-join listing: both are closed under faces and hold every
+    vertex, so equal simplex sets are equal complexes.
     """
     pi = _vertex_pi(link)
     for s in link.complex.simplices:
@@ -823,8 +833,7 @@ def check_complete_join(link: DescendingLink) -> bool:
             return False  # two image pairs coincide or meet
     if len(set(pi)) != math.comb(link.n, 2):
         return False  # not surjective on vertices
-    join = dlink_via_join(link)
-    return join.simplices == link.complex.simplices
+    return _join_listing(link) == link.complex.simplices
 
 
 def connectivity_report(cx: SimplicialComplex, n: int) -> dict:

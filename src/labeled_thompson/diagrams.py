@@ -15,8 +15,8 @@ splitting columns of either factor with `simple_expand` as it needs them.
 
 Validation happens once, at the boundary.  The `LabeledDiagram`
 constructor sorts the columns and checks both forest partitions and the
-labels' group; `tree_diagram`, `from_parts`, `identity_diagram`, `invert`,
-the element helpers and JSON all build through it.  `reduce` and `compose`
+labels' group; `tree_diagram`, `identity_diagram`, `invert`, the element
+constructors and JSON all build through it.  `reduce` and `compose`
 build their results with the unchecked `LabeledDiagram._trusted`, because
 they cannot break a valid diagram, and so does `complexes._class_element`,
 whose descending-link representatives are valid and reduced by
@@ -47,7 +47,7 @@ from .groups import (
     WreathRecursion,
     injectivize,
 )
-from .words import Leaf, complete_to_partition, is_forest_partition
+from .words import Leaf, is_forest_partition
 
 Column = tuple[Leaf, GroupElement, Leaf]
 
@@ -105,6 +105,13 @@ class Context:
 
     def __repr__(self):
         return f"Context({self.source_backend!r}, {self.source_recursion!r})"
+
+
+def _require_diagonal(context: Context, operation: str) -> None:
+    """The one guard of the operations that only the diagonal rule makes
+    well defined."""
+    if context.rule != "diagonal":
+        raise ValueError(f"{operation} is defined only for the diagonal rule")
 
 
 class LabeledDiagram:
@@ -345,31 +352,3 @@ def tree_diagram(
     ]
     return LabeledDiagram(context, cols, 1, 1)
 
-
-def from_parts(
-    context: Context,
-    domain: Sequence[str],
-    labels: Sequence[GroupElement],
-    sigma: Sequence[int],
-    ranges: Sequence[str],
-) -> LabeledDiagram:
-    """Tree diagram [T, (labels, sigma), S]: column i pairs the i-th domain
-    leaf with the sigma(i)-th range leaf (both in lex order, 0-indexed)."""
-    dom = sorted(domain)
-    ran = sorted(ranges)
-    if sorted(sigma) != list(range(len(dom))):
-        raise ValueError("sigma must be a permutation of the leaf ranks")
-    return tree_diagram(
-        context, dom, labels, [ran[sigma[i]] for i in range(len(dom))]
-    )
-
-
-def lambda_diagram(context: Context, u: str, g: GroupElement) -> LabeledDiagram:
-    """Single label g on the cone of u, trivial elsewhere, domain = range.
-
-    Returns the unreduced tree diagram; `elements.lambda_u` reduces it when
-    it wraps it."""
-    part = complete_to_partition([u]) if u else [""]
-    one = context.one()
-    labels = [context.label(g) if w == u else one for w in part]
-    return tree_diagram(context, part, labels, part)

@@ -15,9 +15,9 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import diagrams
-from .diagrams import Column, Context, LabeledDiagram
+from .diagrams import Column, Context, LabeledDiagram, _require_diagonal
 from .groups import GroupElement
-from .words import OMEGA0, EventuallyPeriodicWord, Leaf, padded_complements
+from .words import OMEGA0, EventuallyPeriodicWord, Leaf, complete_to_partition, padded_complements
 
 
 # the most columns a product on the way to a power may have; each squaring
@@ -231,7 +231,13 @@ def from_parts(
     sigma: Sequence[int],
     ranges: Sequence[str],
 ) -> VPhiElement:
-    return VPhiElement(diagrams.from_parts(ctx, domain, labels, sigma, ranges))
+    """Element [T, (labels, sigma), S]: column i pairs the i-th domain leaf
+    with the sigma(i)-th range leaf (both in lex order, 0-indexed)."""
+    dom = sorted(domain)
+    ran = sorted(ranges)
+    if sorted(sigma) != list(range(len(dom))):
+        raise ValueError("sigma must be a permutation of the leaf ranks")
+    return element(ctx, dom, labels, [ran[s] for s in sigma])
 
 
 def iota(ctx: Context, g: GroupElement) -> VPhiElement:
@@ -242,8 +248,11 @@ def iota(ctx: Context, g: GroupElement) -> VPhiElement:
 
 
 def lambda_u(ctx: Context, u: str, g: GroupElement) -> VPhiElement:
-    """The element supported on the cone of u with single label g."""
-    return VPhiElement(diagrams.lambda_diagram(ctx, u, g))
+    """The element supported on the cone of u with single label g: g on
+    the cone of u, trivial elsewhere, domain = range."""
+    part = complete_to_partition([u])
+    one = ctx.one()
+    return element(ctx, part, [g if w == u else one for w in part], part)
 
 
 def rho(a: VPhiElement) -> GroupElement:
@@ -252,8 +261,7 @@ def rho(a: VPhiElement) -> GroupElement:
     Only meaningful for the diagonal rule, where expansion copies the first
     label so the value does not depend on the representative.
     """
-    if a.context.rule != "diagonal":
-        raise ValueError("rho defined only for the diagonal recursion")
+    _require_diagonal(a.context, "rho")
     return a.diagram.columns[0][1]
 
 
@@ -263,8 +271,7 @@ def v_strip(a: VPhiElement) -> VPhiElement:
     Only a homomorphism for the diagonal rule, where labels do not move
     points.
     """
-    if a.context.rule != "diagonal":
-        raise ValueError("stripping labels is only functorial for the diagonal rule")
+    _require_diagonal(a.context, "stripping labels")
     one = a.context.one()
     cols = [(d, one, r) for d, _, r in a.diagram.columns]
     return VPhiElement(
@@ -285,10 +292,10 @@ def v_functor(
     `f` maps source backend values to target backend values and is
     validated to be a homomorphism.
     """
+    _require_diagonal(a.context, "the label functor")
+    _require_diagonal(target, "the label functor")
     src = a.context.backend
     dst = target.backend
-    if a.context.rule != "diagonal" or target.rule != "diagonal":
-        raise ValueError("the label functor is defined between diagonal contexts")
     if not src.is_finite():
         raise ValueError("homomorphisms are validated exhaustively; need finite G")
     if set(f) != set(src.element_values()):
@@ -331,8 +338,7 @@ def generation_word(a: VPhiElement) -> list[tuple[str, object]]:
     part as a product of one-label elements, and conjugate each into the
     0-cone.
     """
-    if a.context.rule != "diagonal":
-        raise ValueError("the generation rewriting works in diagonal contexts")
+    _require_diagonal(a.context, "the generation rewriting")
     ctx = a.context
     word: list[tuple[str, object]] = []
     cols = a.diagram.columns

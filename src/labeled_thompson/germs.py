@@ -5,12 +5,16 @@ The label of an element at a cone is read off the unique column covering
 the cone, expanding as needed; coarser cones than the reduced diagram
 carry no label.  Supports are reported as depth-indexed sound
 over-approximations, since the true labeled support may be a single
-irrational point.  Germ comparison walks the all-zero spine; for finite
-label groups the walk's state space is finite, so answers are exact.
+irrational point; they are kept as blocks, counted without forming a
+block's size once it is past a limit, and two of them are disjoint when
+`words._overlap` finds no block of one under a block of the other.  Germ
+comparison walks the all-zero spine; for finite label groups the walk's
+state space is finite, so answers are exact.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from collections.abc import Set
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ from typing import Optional, Sequence
 
 from .elements import VPhiElement, commutator, element
 from .groups import GroupElement
-from .words import OMEGA0, _cone_excess, is_bitword, padded_complements
+from .words import OMEGA0, _cone_excess, _overlap, is_bitword, padded_complements
 
 
 class LabelUndefined(ValueError):
@@ -103,6 +107,23 @@ def cone_data(a: VPhiElement, u: str) -> tuple[GroupElement, str]:
     return label, v + image
 
 
+def _cone_count(rs, limit: Optional[int] = None) -> int:
+    """sum(2^r for r in rs).  With a limit, counting stops at the first
+    block or partial sum past it, and some number above the limit is
+    returned; no 2^r past the limit is formed, so a block at depth 10^12
+    costs what one at depth 1 does."""
+    if limit is None:
+        return sum(1 << r for r in rs)
+    count = 0
+    for r in rs:
+        if r >= limit.bit_length():
+            return limit + 1
+        count += 1 << r
+        if count > limit:
+            break
+    return count
+
+
 class ConeSet(Set):
     """Read-only set of the depth-`depth` cones under disjoint blocks.
 
@@ -124,7 +145,7 @@ class ConeSet(Set):
         self.cones = sorted(cone for cone, _ in blocks)
 
     def __len__(self):
-        return sum(1 << (self.depth - len(cone)) for cone in self.cones)
+        return _cone_count(self.depth - len(cone) for cone in self.cones)
 
     def __contains__(self, word):
         if not isinstance(word, str) or len(word) != self.depth or not is_bitword(word):
@@ -194,7 +215,8 @@ class ConeSet(Set):
         return self.__len__() == other.__len__() and self.__le__(other)
 
     def __hash__(self):
-        if self.__len__() > MAX_HASHED_CONES:
+        rs = (self.depth - len(cone) for cone in self.cones)
+        if _cone_count(rs, MAX_HASHED_CONES) > MAX_HASHED_CONES:
             raise ConeSetTooLarge(
                 f"a ConeSet of more than MAX_HASHED_CONES = {MAX_HASHED_CONES:,} "
                 "cones is not hashed"
@@ -218,21 +240,13 @@ class SupportApprox:
     included: ConeSet
 
     def disjoint(self, other: "SupportApprox") -> bool:
-        """No common cone, decided on the blocks: two cones of one depth
-        overlap exactly when one is a prefix of the other."""
+        """No common cone, decided on the blocks: the blocks of each side
+        are disjoint, so the two sides meet exactly when a block of one is
+        a prefix of a block of the other, which `words._overlap` finds
+        among neighbours of the merged, sorted blocks."""
         if self.depth != other.depth:
             raise ValueError("compare approximations at equal depth")
-        mine, theirs = self.included.cones, other.included.cones
-        i = j = 0
-        while i < len(mine) and j < len(theirs):
-            u, v = mine[i], theirs[j]
-            if u.startswith(v) or v.startswith(u):
-                return False
-            if u < v:
-                i += 1
-            else:
-                j += 1
-        return True
+        return _overlap(heapq.merge(self.included.cones, other.included.cones)) is None
 
     def to_json(self) -> dict:
         return {"depth": self.depth, "cones": list(self.included)}
@@ -325,15 +339,10 @@ def lsupp_approx(a: VPhiElement, depth: int) -> SupportApprox:
 def lsupp_count(a: VPhiElement, depth: int, limit: Optional[int] = None) -> int:
     """len(lsupp_approx(a, depth).included), without building any cone.
 
-    With a limit, counting stops as soon as the count exceeds it, and some
-    number above the limit is returned.
+    With a limit, counting stops as soon as the count would exceed it, and
+    some number above the limit is returned (`_cone_count`).
     """
-    count = 0
-    for _, r in _support_blocks(a, depth):
-        count += 1 << r
-        if limit is not None and count > limit:
-            break
-    return count
+    return _cone_count((r for _, r in _support_blocks(a, depth)), limit)
 
 
 def disjoint_supports_commute(a: VPhiElement, b: VPhiElement, depth: int) -> bool:
@@ -489,7 +498,7 @@ def transitivity_witness(
         families = ([v for _, v in a_data], [v for _, v in b_data])
         # image cones must be pairwise disjoint and leave room for the
         # leftover cones to pair off
-        if all(_pairwise_incomparable(f) and _cone_excess(f) < 0 for f in families):
+        if all(_overlap(sorted(f)) is None and _cone_excess(f) < 0 for f in families):
             break
         k += 1
         if k > budget:
@@ -511,11 +520,3 @@ def transitivity_witness(
         if ans.kind != "equivalent":
             raise AssertionError("witness failed germ verification")
     return gamma
-
-
-def _pairwise_incomparable(words: Sequence[str]) -> bool:
-    for i, u in enumerate(words):
-        for v in words[i + 1:]:
-            if u.startswith(v) or v.startswith(u):
-                return False
-    return True

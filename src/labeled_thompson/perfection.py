@@ -16,13 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import diagrams, elements
-from .diagrams import Context, LabeledDiagram
+from .diagrams import Context, LabeledDiagram, _require_diagonal
 from .elements import VPhiElement, identity
-
-
-def _require_diagonal(ctx: Context):
-    if ctx.rule != "diagonal":
-        raise ValueError("commutator machinery works in diagonal contexts")
 
 
 def _tree_parts(a: VPhiElement) -> tuple[list[str], list, list[str]]:
@@ -42,7 +37,7 @@ def split3(a: VPhiElement) -> tuple[VPhiElement, VPhiElement, VPhiElement]:
     the first label (both with identity permutation and domain = range) and
     v label-free.  The product is not checked here; `decompose` checks the
     certificate built from it."""
-    _require_diagonal(a.context)
+    _require_diagonal(a.context, "the commutator machinery")
     ctx = a.context
     if a.is_identity():
         e = identity(ctx)
@@ -78,7 +73,7 @@ def commutator_witness(v: VPhiElement) -> tuple[VPhiElement, VPhiElement]:
     holds it, and `ltg witness-commutator` checks it before printing.
     """
     ctx = v.context
-    _require_diagonal(ctx)
+    _require_diagonal(ctx, "the commutator machinery")
     if v.is_identity():
         return identity(ctx), identity(ctx)
     dom, labels, rans = _tree_parts(v)
@@ -158,7 +153,7 @@ def decompose(a: VPhiElement) -> CommutatorCertificate:
     first-label factor becomes one after swapping it into the second slot.
     """
     ctx = a.context
-    _require_diagonal(ctx)
+    _require_diagonal(ctx, "the commutator machinery")
     r, f, v = split3(a)
     factors: list[tuple[VPhiElement, VPhiElement]] = []
     if not r.is_identity():

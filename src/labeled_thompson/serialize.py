@@ -135,13 +135,10 @@ def element_to_json(x: GroupoidElement) -> dict:
     d = x.diagram
     # a (1,1) groupoid element stays a forest, so it reads back as one
     forest = not isinstance(x, VPhiElement)
+    # labels live in ctx.backend, which is the source backend unless the
+    # context routes through a quotient
     ctx = d.context
-    if ctx.pi_hat is None:
-        fmt = ctx.source_backend.format_element
-        picture = "source"
-    else:
-        fmt = ctx.backend.format_element
-        picture = "quotient"
+    fmt = ctx.backend.format_element
     out = {
         "columns": [
             {
@@ -154,7 +151,7 @@ def element_to_json(x: GroupoidElement) -> dict:
         "kind": "forest" if forest else "tree",
         "roots": [d.m_roots, d.n_roots],
     }
-    if picture == "quotient":
+    if ctx.pi_hat is not None:
         out["labels"] = "quotient"
     return out
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .diagrams import Context
+from .diagrams import Context, _require_diagonal
 from .elements import VPhiElement, element
 from .groups import GroupElement
 
@@ -78,14 +78,9 @@ class GSet:
         return cls(backend)
 
 
-def _require_diagonal(ctx: Context):
-    if ctx.rule != "diagonal":
-        raise ValueError("the permutation model is defined for the diagonal rule")
-
-
 def splinter_act(gset: GSet, a: VPhiElement, p: SplinterPoint) -> SplinterPoint:
     """(x, u_i w) -> (x g_i, v_i w): translate through the matched column."""
-    _require_diagonal(a.context)
+    _require_diagonal(a.context, "the permutation model")
     for (_, u), g, (_, v) in a.diagram.columns:
         if p.w.startswith(u):
             return SplinterPoint(gset.act(p.x, g), v + p.w[len(u):])
@@ -94,7 +89,7 @@ def splinter_act(gset: GSet, a: VPhiElement, p: SplinterPoint) -> SplinterPoint:
 
 def a_g(ctx: Context, g: GroupElement) -> VPhiElement:
     """The standard three-cone element carrying g on the 01-cone."""
-    _require_diagonal(ctx)
+    _require_diagonal(ctx, "the permutation model")
     one = ctx.one()
     return element(ctx, ["00", "01", "1"], [one, ctx.label(g), one], ["00", "01", "1"])
 

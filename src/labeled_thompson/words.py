@@ -4,11 +4,15 @@ Words are plain strings over the alphabet {'0', '1'}; the empty string is
 the root of the infinite binary tree.  Leaf addresses of forests are pairs
 ``(root_index, word)`` so that one calculus covers trees (single root 0)
 and forests alike.
+
+Whether the cones of some words meet is decided in one place, `_overlap`,
+on the words in lex order: partition sets, completions, the disjointness of
+labeled supports and the image cones of germ witnesses all ask it there.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 # A leaf address: (root index, binary word below that root).
 Leaf = tuple[int, str]
@@ -35,6 +39,20 @@ def _cone_excess(words: Sequence[str]) -> int:
     return sum(1 << (depth - len(u)) for u in words) - (1 << depth)
 
 
+def _overlap(ordered: Iterable[str]) -> Optional[tuple[str, str]]:
+    """The first neighbours (a, b) of lex-sorted words where b extends a, so
+    that their cones meet, or None when the cones are pairwise disjoint.
+    Neighbours suffice: the words extending a word sort directly after it,
+    and a repeated word is its own prefix."""
+    ordered = iter(ordered)
+    a = next(ordered, None)
+    for b in ordered:
+        if b.startswith(a):
+            return a, b
+        a = b
+    return None
+
+
 def is_partition_set(words: Sequence[str]) -> bool:
     """Decide whether a family of words cuts the boundary into disjoint cones.
 
@@ -45,13 +63,7 @@ def is_partition_set(words: Sequence[str]) -> bool:
     if len(words) == 0 or not is_bitword("".join(words)):
         return False
     ordered = sorted(words)
-    for a, b in zip(ordered, ordered[1:]):
-        # in lexicographic order a prefix sorts immediately before its
-        # extensions, so adjacent checks suffice; a repeated word is its
-        # own prefix, so this also rejects duplicates
-        if b.startswith(a):
-            return False
-    return _cone_excess(ordered) == 0
+    return _overlap(ordered) is None and _cone_excess(ordered) == 0
 
 
 def is_forest_partition(leaves: Sequence[Leaf], roots: int) -> bool:
@@ -78,9 +90,9 @@ def complete_to_partition(words: Iterable[str]) -> list[str]:
             raise ValueError(f"not a binary word: {w!r}")
     if chosen == [""]:
         return [""]
-    for a, b in zip(chosen, chosen[1:]):
-        if b.startswith(a):
-            raise ValueError(f"cones of {a!r} and {b!r} intersect")
+    overlap = _overlap(chosen)
+    if overlap is not None:
+        raise ValueError("cones of {!r} and {!r} intersect".format(*overlap))
     prefixes = {w[:i] for w in chosen for i in range(1, len(w) + 1)}
     out = sorted(set(chosen) | ({sibling(u) for u in prefixes} - prefixes))
     assert is_partition_set(out)

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from test_diagrams import sized_diagram
@@ -98,6 +99,22 @@ def test_lsupp_refuses_past_the_cone_limit(z2_file, capsys):
     # 2^16 cones exactly is still written
     assert main(["--json", "lsupp", "-g", z2_file, "lambda(0,g)", "--depth", "17"]) == 0
     assert len(json.loads(capsys.readouterr().out)["cones"]) == LSUPP_MAX_CONES
+
+
+def test_lsupp_refuses_a_deep_block_without_forming_its_size(z2_file, capsys):
+    # iota(1) is one block of 2^(depth - 1) cones: counting stops at it, so
+    # no integer of four billion bits is formed
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert main(["lsupp", "-g", z2_file, "iota(1)", "--depth", "4000000000"]) == 2
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 50 * 2**20
+    out, err = capsys.readouterr()
+    assert out == "" and str(LSUPP_MAX_CONES) in err
 
 
 def test_lsupp_limit_bounds_fragmented_supports(tmp_path, capsys):

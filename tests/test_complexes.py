@@ -729,43 +729,55 @@ def _admitted_bounds(cx: C.SimplicialComplex) -> list[int]:
     ]
 
 
-def _assert_pairs_exact(cx, up_to, smith_calls, full=None) -> list[np.ndarray]:
-    """[1] * p_k + the Smith diagonal of d_k's residual is the Smith
-    diagonal of the whole d_k, for every k; the tables `_pair_off` returns
-    hold exactly the residuals; `homology` eliminates each residual alone,
-    from its side with fewer cells, and agrees with the per-matrix oracle,
-    which eliminates the whole matrices.  `full` caches whole-matrix
-    diagonals by k across bounds.  Returns the residuals."""
-    full = {} if full is None else full
-    mats = [cx.boundary_matrix(k) for k in range(up_to + 2)]
-    pairs, faces, cofaces = C._pair_off(mats)
-    live = [_live(level) for level in faces]
-    assert [_live(level) for level in cofaces] == live
-    # a pair inside d_k deletes one cell of level k and one of level k + 1
-    sizes = [1] + [mat.shape[1] for mat in mats]
-    for level, cells in enumerate(live):
-        below = pairs[level - 1] if level else 0
-        above = pairs[level] if level < len(pairs) else 0
-        assert len(cells) == sizes[level] - below - above
-    # the live faces of level k + 1 are the residual's columns, the live
-    # cofaces of level k its rows
-    columns = [_keyed(mat, live[k], live[k + 1]) for k, mat in enumerate(mats)]
-    rows = [_keyed(mat.T, live[k + 1], live[k]) for k, mat in enumerate(mats)]
-    for k in range(len(mats)):
-        assert [faces[k + 1][j] for j in live[k + 1]] == columns[k], k
-        assert [cofaces[k][i] for i in live[k]] == rows[k], k
-    residuals = [mat[np.ix_(live[k], live[k + 1])] for k, mat in enumerate(mats)]
-    for k, mat in enumerate(mats):
-        if k not in full:
-            full[k] = short_smith(mat)
-        assert [1] * pairs[k] + short_smith(residuals[k]) == full[k], k
+def _through(res: C.HomologyResult, up_to: int) -> C.HomologyResult:
+    """A homology result cut down to the dimensions up to `up_to`."""
+    betti = {k: b for k, b in res.betti.items() if k <= up_to}
+    torsion = {k: t for k, t in res.torsion.items() if k <= up_to}
+    return C.HomologyResult(betti, torsion, res.f_vector)
+
+
+def _assert_pairs_exact(cx, bounds, smith_calls) -> list[np.ndarray]:
+    """At every bound up_to in `bounds`: [1] * p_k + the Smith diagonal of
+    d_k's residual is the Smith diagonal of the whole d_k, for every k; the
+    tables `_pair_off` returns hold exactly the residuals; `homology`
+    eliminates each residual alone, from its side with fewer cells, and
+    agrees through up_to with the per-matrix oracle.  The oracle eliminates
+    the whole matrices once, at the top bound; whole-matrix diagonals are
+    cached by k across bounds.  Returns the residuals at the last bound."""
+    top = max(bounds)
     smith_calls.clear()
-    got = C.homology(cx, up_to)
-    assert smith_calls == [r if len(r) < len(c) else c for r, c in zip(rows, columns)]
-    smith_calls.clear()
-    assert oracle.homology_by_smith(cx, up_to) == got
+    want = oracle.homology_by_smith(cx, top)
     whole = [(len(cols), sum(map(len, cols))) for cols in smith_calls]
+    mats = [cx.boundary_matrix(k) for k in range(top + 2)]
     assert whole == [(min(mat.shape), int(np.count_nonzero(mat))) for mat in mats]
+    full: dict = {}
+    for up_to in bounds:
+        mats = [cx.boundary_matrix(k) for k in range(up_to + 2)]
+        pairs, faces, cofaces = C._pair_off(mats)
+        live = [_live(level) for level in faces]
+        assert [_live(level) for level in cofaces] == live
+        # a pair inside d_k deletes one cell of level k and one of level k + 1
+        sizes = [1] + [mat.shape[1] for mat in mats]
+        for level, cells in enumerate(live):
+            below = pairs[level - 1] if level else 0
+            above = pairs[level] if level < len(pairs) else 0
+            assert len(cells) == sizes[level] - below - above
+        # the live faces of level k + 1 are the residual's columns, the live
+        # cofaces of level k its rows
+        columns = [_keyed(mat, live[k], live[k + 1]) for k, mat in enumerate(mats)]
+        rows = [_keyed(mat.T, live[k + 1], live[k]) for k, mat in enumerate(mats)]
+        for k in range(len(mats)):
+            assert [faces[k + 1][j] for j in live[k + 1]] == columns[k], k
+            assert [cofaces[k][i] for i in live[k]] == rows[k], k
+        residuals = [mat[np.ix_(live[k], live[k + 1])] for k, mat in enumerate(mats)]
+        for k, mat in enumerate(mats):
+            if k not in full:
+                full[k] = short_smith(mat)
+            assert [1] * pairs[k] + short_smith(residuals[k]) == full[k], k
+        smith_calls.clear()
+        got = C.homology(cx, up_to)
+        assert smith_calls == [r if len(r) < len(c) else c for r, c in zip(rows, columns)]
+        assert got == _through(want, up_to), up_to
     return residuals
 
 
@@ -796,17 +808,15 @@ def test_homology_eliminates_the_side_with_fewer_cells(rng, smith_calls):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_pairs_exact_on_matching_complexes(n, smith_calls):
     cx = C.matching_complex(n)
-    full: dict = {}
     bounds = _admitted_bounds(cx)
     assert bounds == list(range(cx.dimension() + 2))  # every bound through M_10
-    for up_to in bounds:
-        _assert_pairs_exact(cx, up_to, smith_calls, full)
+    _assert_pairs_exact(cx, bounds, smith_calls)
 
 
 def test_pairs_exact_on_random_complexes(rng, smith_calls):
     for _ in range(300):
         cx = _random_complex(rng)
-        _assert_pairs_exact(cx, cx.dimension(), smith_calls)
+        _assert_pairs_exact(cx, [cx.dimension()], smith_calls)
 
 
 @pytest.mark.parametrize(
@@ -819,9 +829,7 @@ def test_pairs_exact_on_random_complexes(rng, smith_calls):
 )
 def test_pairs_exact_on_links(name, n, smith_calls):
     cx = C.dlink_complex(DLINK_CONTEXTS[name], n).complex
-    full: dict = {}
-    for up_to in _admitted_bounds(cx):
-        _assert_pairs_exact(cx, up_to, smith_calls, full)
+    _assert_pairs_exact(cx, _admitted_bounds(cx), smith_calls)
 
 
 def test_pair_residuals_of_known_complexes(smith_calls):
@@ -839,7 +847,7 @@ def test_pair_residuals_of_known_complexes(smith_calls):
         (tetrahedron, 2, {2: ((0, 1), 0)}, {2: 1}, {}),
     ]
     for cx, up_to, shapes, betti, torsion in cases:
-        residuals = _assert_pairs_exact(cx, up_to, smith_calls)
+        residuals = _assert_pairs_exact(cx, [up_to], smith_calls)
         for k, want in shapes.items():
             assert _seen(residuals[k]) == want, k
         others = [_seen(r) for k, r in enumerate(residuals) if k not in shapes]
@@ -849,7 +857,7 @@ def test_pair_residuals_of_known_complexes(smith_calls):
         assert {k: t for k, t in res.torsion.items() if t} == torsion
     # every cell below the top level pairs off: no residual has a row
     for n in (9, 10):
-        residuals = _assert_pairs_exact(C.matching_complex(n), 1, smith_calls)
+        residuals = _assert_pairs_exact(C.matching_complex(n), [1], smith_calls)
         assert [r.shape[0] for r in residuals] == [0, 0, 0]
 
 
@@ -1067,6 +1075,13 @@ def test_complete_join_rejects_broken_links(z2_diag):
     )
     cut = dataclasses.replace(link, complex=sub, vertex_keys=sub.vertices)
     assert not C.check_complete_join(cut)
+    # a complex lacking one top simplex keeps every vertex and is simplicial,
+    # so only the comparison with the fiber-join listing can refuse it
+    maximal = link.complex.maximal_simplices()
+    top = max(maximal, key=len)
+    short = C.SimplicialComplex(link.vertex_keys, [s for s in maximal if s != top])
+    assert short.simplices == link.complex.simplices - {top}
+    assert not C.check_complete_join(dataclasses.replace(link, complex=short))
 
 
 def test_connectivity_report_vacuous(trivial_diag):

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import diagram_oracle as oracle
 import pytest
@@ -415,6 +416,16 @@ def test_cone_set_hash_refuses_large_sets(z2_diag, monkeypatch):
     assert hash(full) == hash(frozenset(full))
     with pytest.raises(G.ConeSetTooLarge):
         hash(G.ConeSet(5, [("0", 4), ("10", 3)]))
+    # a block of 2^(10^9 - 1) cones is refused before its size is formed
+    deep = G.lsupp_approx(E.iota(z2_diag, g), 10**9).included
+    tracemalloc.start()
+    try:
+        with pytest.raises(G.ConeSetTooLarge):
+            hash(deep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _random_blocks(rng, depth, cone=""):
@@ -447,6 +458,8 @@ def test_lsupp_count_builds_no_cone(z2_diag, z3_right):
     g = z2_diag.source_backend.element(1)
     assert G.lsupp_count(E.lambda_u(z2_diag, "0", g), 200) == 1 << 199
     assert G.lsupp_count(E.lambda_u(z2_diag, "0", g), 200, limit=5) > 5
+    # with a limit, a block past it ends the count before 2^r is formed
+    assert G.lsupp_count(E.iota(z2_diag, g), 10**12, limit=5) > 5
     # under the right rule one cone per fixed column stays labeled
     g3 = z3_right.source_backend.element(1)
     assert G.lsupp_count(E.lambda_u(z3_right, "0", g3), 200) == 1

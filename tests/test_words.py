@@ -1,13 +1,17 @@
+import heapq
+import itertools
 import random
 
 import pytest
 
 from diagram_oracle import forest_refinement
+from test_germs import _random_blocks
 
 from labeled_thompson.words import (
     EventuallyPeriodicWord,
     OMEGA0,
     _cone_excess,
+    _overlap,
     complete_to_partition,
     is_forest_partition,
     is_partition_set,
@@ -24,6 +28,37 @@ def test_partition_set_basics():
     assert not is_partition_set(["0", "10"])  # incomplete
     assert not is_partition_set([])
     assert not is_partition_set(["0", "0", "1"])
+
+
+def _meet(words) -> bool:
+    """The all-pairs definition: two entries, a repeated word included, are
+    prefix-comparable, so their cones meet."""
+    return any(u.startswith(v) or v.startswith(u) for u, v in itertools.combinations(words, 2))
+
+
+def test_overlap_matches_all_pairs():
+    assert _overlap([]) is None and _overlap([""]) is None
+    assert _overlap(["", "0"]) == ("", "0")
+    assert _overlap(["0", "0", "1"]) == ("0", "0")
+    assert _overlap(iter(["0", "10", "101", "11"])) == ("10", "101")
+    rng = random.Random(31)
+    pool = [""] + ["".join(w) for n in range(1, 5) for w in itertools.product("01", repeat=n)]
+    for _ in range(3000):
+        # drawn with repeats, so duplicates and the empty word turn up
+        words = sorted(rng.choices(pool, k=rng.randint(0, 7)))
+        found = _overlap(words)
+        assert (found is not None) == _meet(words), words
+        if found is not None:
+            a, b = found
+            assert b.startswith(a) and words[words.index(a) + 1] == b
+    # two disjoint block lists merged, as `germs.SupportApprox.disjoint` does
+    seen = set()
+    for _ in range(1000):
+        mine, theirs = ([cone for cone, _ in _random_blocks(rng, 6)] for _ in range(2))
+        meet = any(u.startswith(v) or v.startswith(u) for u in mine for v in theirs)
+        assert (_overlap(heapq.merge(mine, theirs)) is not None) == meet
+        seen.add(meet)
+    assert seen == {True, False}
 
 
 def test_cone_excess_is_exact():
